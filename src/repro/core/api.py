@@ -13,6 +13,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.bipartitions.scan import SplitBatch, scan_newick_file, \
+    scan_newick_text
 from repro.core.consensus import consensus_tree
 from repro.core.day import day_rf
 from repro.core.matrix import average_from_matrix, rf_matrix
@@ -49,6 +51,24 @@ def _is_nexus_path(path: str | os.PathLike) -> bool:
         return False
 
 
+def _source_kind(source: TreesLike) -> str:
+    """``trees``, ``nexus-text``, ``nexus``, ``newick`` or ``newick-text``.
+
+    Tree sequences pass through; a string holding ``;`` is text, any
+    other string or path-like is a file (NEXUS is auto-detected by its
+    ``#NEXUS`` header).
+    """
+    if isinstance(source, (list, tuple)):
+        return "trees"
+    if isinstance(source, str) and source.lstrip().upper().startswith("#NEXUS"):
+        return "nexus-text"
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and ";" not in source):
+        return "nexus" if _is_nexus_path(source) else "newick"
+    if isinstance(source, str):
+        return "newick-text"
+    raise TypeError(f"cannot interpret {type(source).__name__} as a tree collection")
+
+
 def as_trees(source: TreesLike, namespace: TaxonNamespace | None = None) -> list[Tree]:
     """Coerce a collection argument into a list of trees.
 
@@ -59,29 +79,65 @@ def as_trees(source: TreesLike, namespace: TaxonNamespace | None = None) -> list
     """
     from repro.newick.nexus import read_nexus_trees
 
-    if isinstance(source, (list, tuple)):
+    kind = _source_kind(source)
+    if kind == "trees":
         return list(source)
-    if isinstance(source, str) and source.lstrip().upper().startswith("#NEXUS"):
-        with trace("parse", format="nexus-text") as span:
+    attrs = {"format": kind} if kind.endswith("-text") \
+        else {"source": os.fspath(source), "format": kind}
+    with trace("parse", **attrs) as span:
+        if kind.startswith("nexus"):
             trees = read_nexus_trees(source, namespace)
-            span.set(trees=len(trees))
-        return trees
-    if isinstance(source, os.PathLike) or (isinstance(source, str) and ";" not in source):
-        if _is_nexus_path(source):
-            with trace("parse", source=os.fspath(source), format="nexus") as span:
-                trees = read_nexus_trees(source, namespace)
-                span.set(trees=len(trees))
-            return trees
-        with trace("parse", source=os.fspath(source), format="newick") as span:
+        elif kind == "newick":
             trees = read_newick_file(source, namespace)
-            span.set(trees=len(trees))
-        return trees
-    if isinstance(source, str):
-        with trace("parse", format="newick-text") as span:
+        else:
             trees = trees_from_string(source, namespace)
-            span.set(trees=len(trees))
-        return trees
-    raise TypeError(f"cannot interpret {type(source).__name__} as a tree collection")
+        span.set(trees=len(trees))
+    return trees
+
+
+def _scan_sources(query: TreesLike, reference: TreesLike | None, *,
+                  include_trivial: bool, transform: MaskTransform | None
+                  ) -> tuple[SplitBatch, SplitBatch] | None:
+    """Scan Newick path/text arguments straight to split batches.
+
+    ``None`` when either side is a tree list or NEXUS — those take the
+    ``Tree`` path.  Both sides bind into one namespace, query first, as
+    :func:`as_trees` binds them; with ``reference=None`` the query batch
+    is returned for both sides.
+    """
+    kinds = [_source_kind(query)]
+    if reference is not None:
+        kinds.append(_source_kind(reference))
+    if any(kind not in ("newick", "newick-text") for kind in kinds):
+        return None
+    namespace = TaxonNamespace()
+    batches = []
+    for source, kind in zip((query, reference), kinds):
+        attrs = {"format": kind} if kind == "newick-text" \
+            else {"source": os.fspath(source), "format": kind}
+        scan = scan_newick_file if kind == "newick" else scan_newick_text
+        with trace("scan", **attrs) as span:
+            batch = scan(source, namespace, include_trivial=include_trivial,
+                         transform=transform)
+            span.set(trees=len(batch), splits=len(batch.words))
+        batches.append(batch)
+    return batches[0], batches[-1]
+
+
+def _normalize(values: list[float],
+               collection: Sequence[Tree] | SplitBatch) -> list[float]:
+    """Scale each value by its own tree's ``2(n-3)``.
+
+    Collections with variable taxon counts would be skewed by a single
+    shared denominator taken from the first tree.
+    """
+    leaf_masks = collection.leaf_masks if isinstance(collection, SplitBatch) \
+        else [tree.leaf_mask() for tree in collection]
+    normed = []
+    for leaf_mask, value in zip(leaf_masks, values):
+        denominator = max_rf(leaf_mask.bit_count())
+        normed.append(value / denominator if denominator else value)
+    return normed
 
 
 def _remote_average_rf(query_trees: list[Tree],
@@ -172,37 +228,26 @@ def average_rf(query: TreesLike, reference: TreesLike | None = None, *,
                 "include_trivial= cannot be combined with it")
         query_trees = as_trees(query)
         values = _remote_average_rf(query_trees, endpoint)
-        if normalized:
-            normed = []
-            for tree, value in zip(query_trees, values):
-                denominator = max_rf(tree.leaf_mask().bit_count())
-                normed.append(value / denominator if denominator else value)
-            values = normed
-        return values
+        return _normalize(values, query_trees) if normalized else values
     spec = get_method(default_method_name() if method is None else method)
     spec.ensure_supported(disparate=reference is not None,
                           transform=transform is not None)
-    query_trees = as_trees(query)
-    if reference is None:
-        reference_trees = query_trees
+    scanned = _scan_sources(query, reference, include_trivial=include_trivial,
+                            transform=transform) if spec.scans_newick else None
+    if scanned is not None:
+        query_items, reference_items = scanned
     else:
-        ns = query_trees[0].taxon_namespace if query_trees else None
-        reference_trees = as_trees(reference, ns)
+        query_items = as_trees(query)
+        if reference is None:
+            reference_items = query_items
+        else:
+            ns = query_items[0].taxon_namespace if query_items else None
+            reference_items = as_trees(reference, ns)
 
-    values = spec.run(query_trees, reference_trees, n_workers=n_workers,
+    values = spec.run(query_items, reference_items, n_workers=n_workers,
                       include_trivial=include_trivial, transform=transform,
                       executor=executor)
-
-    if normalized:
-        # Each tree normalizes by its own 2(n-3): collections with
-        # variable taxon counts would be skewed by a single shared
-        # denominator taken from the first tree.
-        normed = []
-        for tree, value in zip(query_trees, values):
-            denominator = max_rf(tree.leaf_mask().bit_count())
-            normed.append(value / denominator if denominator else value)
-        values = normed
-    return values
+    return _normalize(values, query_items) if normalized else values
 
 
 # The per-method block is generated from the registry so the docstring

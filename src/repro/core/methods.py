@@ -8,7 +8,9 @@ Each runner adapts one algorithm to the registry's uniform signature
            transform, executor) -> list[float]
 
 where ``reference_trees`` is the query list itself in the Q-is-R
-setting.  Capability checks do not live here — the registry's
+setting.  Runners registered with ``scans_newick=True`` may receive
+:class:`~repro.bipartitions.scan.SplitBatch` scans in place of tree
+lists.  Capability checks do not live here — the registry's
 :meth:`~repro.runtime.registry.MethodSpec.ensure_supported` rejects
 unsupported argument combinations before a runner is called, and
 methods with ``supports_workers=False`` simply ignore the worker count.
@@ -116,7 +118,8 @@ register_method(
     "vectorized", _run_vectorized,
     summary="Array-backed BFHRF (§IX GPU plan, on NumPy): batched "
             "binary-search probes over sorted split keys.",
-    memory_class="hash")
+    memory_class="hash",
+    scans_newick=True)
 
 register_method(
     "mrsrf", _run_mrsrf,
@@ -133,4 +136,5 @@ register_method(
             "vectorized kernel.",
     memory_class="hash",
     shared_memory=True,
+    scans_newick=True,
     fast_path=True)

@@ -15,7 +15,9 @@ Per-backend payload strategy (the part that actually moves the needle):
   pay neither pickling nor parsing.  The ``SharedBFH`` arrays are in the
   segment either way, shared by all children.
 * ``spawn`` — a cached pool (``reuse="shm"``) amortizes interpreter
-  start-up across fan-outs; the query collection crosses as a
+  start-up across fan-outs; a scanned query crosses as its split words
+  (:class:`~repro.bipartitions.scan.SplitBatch`) and workers probe
+  slices of them, while a tree query crosses as a
   :class:`~repro.runtime.shm.SharedTreeCollection` descriptor and each
   worker parses only the slices it scores, caching its attach.
 * ``serial``/``thread`` — no process boundary; the probe kernels are
@@ -32,8 +34,8 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Sequence
 
-from repro.core.bfhrf import build_bfh
-from repro.core.vectorized import VectorizedBFH
+from repro.bipartitions.scan import SplitBatch
+from repro.core.vectorized import split_table
 from repro.hashing.bfh import MaskTransform
 from repro.observability.metrics import histogram as _histogram
 from repro.observability.spans import trace
@@ -49,24 +51,27 @@ __all__ = ["shm_average_rf"]
 def _shm_query_range(bounds: tuple[int, int]) -> list[float]:
     """Fan-out task: batched probes for one query slice over shared arrays.
 
-    The payload carries descriptors, not data: ``collection`` slices lazily
-    (parent-side it is a plain list view; worker-side it parses only this
-    range) and ``shared.vectorized()`` adopts the segment arrays without
-    copying.  The transform rides separately — segments store only arrays.
+    The payload carries descriptors or words, not trees: ``collection``
+    is a :class:`SplitBatch` (workers probe a slice of its words) or a
+    :class:`SharedTreeCollection` (parent-side a plain list view;
+    worker-side it parses only this range), and ``shared.vectorized()``
+    adopts the segment arrays without copying.  The transform rides
+    separately — segments store only arrays.
     """
     collection, shared, transform = get_payload()
     vbfh = shared.vectorized(transform=transform)
-    trees = collection.slice(bounds[0], bounds[1])
+    query = collection.slice(bounds[0], bounds[1])
     if not _obs_enabled():
-        return vbfh.average_rf_batch(trees).tolist()
+        return vbfh.average_rf_batch(query).tolist()
     t0 = time.perf_counter()
-    values = vbfh.average_rf_batch(trees).tolist()
+    values = vbfh.average_rf_batch(query).tolist()
     _histogram("vectorized.chunk_seconds").observe(time.perf_counter() - t0)
     return values
 
 
-def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
-                   reference: Sequence[Tree] | Iterable[Tree] | None = None, *,
+def shm_average_rf(query: Sequence[Tree] | Iterable[Tree] | SplitBatch,
+                   reference: Sequence[Tree] | Iterable[Tree] | SplitBatch
+                   | None = None, *,
                    n_workers: int = 1,
                    include_trivial: bool = False,
                    transform: MaskTransform | None = None,
@@ -77,8 +82,11 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
 
     Semantics match :func:`repro.core.bfhrf.bfhrf_average_rf` exactly
     (same empty-reference error, same values bit for bit); only the
-    worker payload differs.  With ``n_workers <= 1`` this is the
-    vectorized backend with no segments at all.
+    worker payload differs.  ``query``/``reference`` are parsed trees or
+    :class:`SplitBatch` scans; the table is built from the reference
+    batch with no dict hash, and with ``reference`` None the same batch
+    is probed.  With ``n_workers <= 1`` this is the vectorized backend
+    with no segments at all.
 
     Parameters
     ----------
@@ -94,34 +102,33 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
     >>> shm_average_rf(trees)
     [1.0, 1.0]
     """
-    query = list(query) if not isinstance(query, Sequence) else query
+    if not isinstance(query, (Sequence, SplitBatch)):
+        query = list(query)
     if shared is None:
-        if reference is None:
-            reference = query
-        reference = list(reference) if not isinstance(reference, Sequence) \
-            else reference
-        bfh = build_bfh(reference, include_trivial=include_trivial,
-                        transform=transform)
-        n_taxa = max(1, len(reference[0].taxon_namespace))
-    else:
-        bfh = None
-    if not query:
+        if reference is not None and not isinstance(
+                reference, (Sequence, SplitBatch)):
+            reference = list(reference)
+        table, query = split_table(query, reference,
+                                   include_trivial=include_trivial,
+                                   transform=transform)
+    if not len(query):
         return []
 
     workers = resolve_workers(n_workers) if n_workers > 1 else 1
     if workers <= 1 or len(query) < 2:
         vbfh = shared.vectorized(transform=transform) if shared is not None \
-            else VectorizedBFH.from_bfh(bfh, n_taxa)
+            else table.vectorized(transform=transform)
         with trace("shmrf.query", q=len(query), r=vbfh.n_trees, workers=1):
             return vbfh.average_rf_batch(query).tolist()
 
     runner = get_executor(executor)
     owned = shared is None
     if owned:
-        shared = SharedBFH.from_bfh(bfh, n_taxa)
+        shared = SharedBFH.from_table(table)
     # Branch lengths never enter an RF score; dropping them keeps the
     # query segment small and its worker-side parse cheap.
-    collection = SharedTreeCollection(query, include_lengths=False)
+    collection = query if isinstance(query, SplitBatch) \
+        else SharedTreeCollection(query, include_lengths=False)
     try:
         payload = (collection, shared, transform)
         reuse = "shm" if runner.name == "spawn" else None
@@ -132,6 +139,7 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
                 n_workers=workers, chunk_size=chunk_size, reuse=reuse)
         return [v for block in blocks for v in block]
     finally:
-        collection.release()
+        if collection is not query:
+            collection.release()
         if owned:
             shared.release()

@@ -60,7 +60,10 @@ import numpy as np
 from repro.bipartitions.encoding import pack_key, unpack_key, words_for_taxa
 from repro.hashing.compression import _decode_varint, _encode_varint, \
     compress_mask, decompress_mask
-from repro.util.errors import BipartitionError, StoreCorruptError
+from repro.observability.metrics import counter as _metric
+from repro.observability.state import enabled as _obs_enabled
+from repro.util.errors import BipartitionError, CollectionError, \
+    StoreCorruptError
 
 __all__ = [
     "BipartitionTable", "TableSections",
@@ -70,7 +73,6 @@ __all__ = [
 ]
 
 _WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -81,31 +83,31 @@ def masks_to_words(masks: Sequence[int], n_words: int) -> np.ndarray:
     """Pack arbitrary-precision masks into an ``(m, n_words)`` uint64 array.
 
     Word 0 is the *most significant*, so lexicographic order of rows
-    equals numeric order of masks.
+    equals numeric order of masks.  Each mask becomes ``8 * n_words``
+    big-endian bytes appended to one buffer (no per-mask objects stay
+    alive), which is read as ``>u8`` words in one NumPy call.
     """
-    out = np.empty((len(masks), n_words), dtype=np.uint64)
-    for row, mask in enumerate(masks):
-        if mask < 0 or mask >> (_WORD_BITS * n_words):
-            # Refuse to truncate: a dropped high word would make distinct
-            # splits collide silently — the worst failure class here.
-            raise ValueError(
-                f"mask {mask:#x} does not fit in {n_words} words")
-        for col in range(n_words):
-            shift = _WORD_BITS * (n_words - 1 - col)
-            out[row, col] = (mask >> shift) & _WORD_MASK
-    return out
+    width = 8 * n_words
+    blob = bytearray()
+    try:
+        for mask in masks:
+            blob += mask.to_bytes(width, "big")
+    except OverflowError:
+        # Refuse to truncate: a dropped high word would make distinct
+        # splits collide silently — the worst failure class here.
+        bad = next(m for m in masks if m < 0 or m >> (_WORD_BITS * n_words))
+        raise ValueError(
+            f"mask {bad:#x} does not fit in {n_words} words") from None
+    words = np.frombuffer(blob, dtype=">u8").astype(np.uint64)
+    return words.reshape(len(masks), n_words)
 
 
 def words_to_masks(keys: np.ndarray) -> list[int]:
     """Inverse of :func:`masks_to_words`: rows back to Python ints."""
-    n_words = keys.shape[1]
-    out = []
-    for row in keys:
-        mask = 0
-        for col in range(n_words):
-            mask = (mask << _WORD_BITS) | int(row[col])
-        out.append(mask)
-    return out
+    width = 8 * keys.shape[1]
+    blob = memoryview(np.ascontiguousarray(keys, dtype=">u8").tobytes())
+    return [int.from_bytes(blob[i:i + width], "big")
+            for i in range(0, len(blob), width)]
 
 
 def probe_order(keys: np.ndarray) -> np.ndarray:
@@ -129,9 +131,10 @@ class BipartitionTable:
     weighted tables — maps each mask to its sorted branch-length
     multiset (the store's exact-removal representation).
 
-    Construct with :meth:`from_counts` / :meth:`from_bfh` (sorts once)
-    or directly with arrays already in probe order (zero-copy adoption —
-    the shared-memory path).
+    Construct with :meth:`from_splits` (one ``np.unique`` over a split
+    batch — the batch path), :meth:`from_counts` / :meth:`from_bfh`
+    (sorts once), or directly with arrays already in probe order
+    (zero-copy adoption — the shared-memory path).
     """
 
     __slots__ = ("keys", "counts", "weights", "n_taxa", "n_words",
@@ -188,6 +191,34 @@ class BipartitionTable:
         return cls.from_counts(bfh.counts, n_taxa=n_taxa,
                                n_trees=bfh.n_trees, total=bfh.total,
                                include_trivial=bfh.include_trivial)
+
+    @classmethod
+    def from_splits(cls, batch, *, n_taxa: int | None = None
+                    ) -> "BipartitionTable":
+        """Build from a :class:`~repro.bipartitions.scan.SplitBatch`.
+
+        ``np.unique`` over the void view of the batch's word rows sorts
+        them under the probe comparison and counts repeats in the same
+        pass, so keys come out in probe order with their frequencies —
+        no frequency dict and no second sort.  The batch's per-tree
+        splits are distinct, so a key's count is the number of trees
+        holding it.  ``n_taxa`` widens keys past the batch's own width.
+        """
+        if not len(batch):
+            raise CollectionError(
+                "reference collection is empty; average RF is undefined")
+        n_taxa = max(batch.n_taxa, n_taxa or 0)
+        words = batch.words_for(words_for_taxa(n_taxa))
+        n_words = words.shape[1]
+        void = words.view(np.dtype((np.void, 8 * n_words))).ravel()
+        unique, freqs = np.unique(void, return_counts=True)
+        if _obs_enabled():
+            _metric("table.splits_counted").inc(len(void))
+        keys = np.ascontiguousarray(unique).view(np.uint64)
+        return cls(keys.reshape(-1, n_words),
+                   freqs.astype(np.int64, copy=False), n_taxa=n_taxa,
+                   n_trees=len(batch), total=len(void),
+                   include_trivial=batch.include_trivial)
 
     # -- views ----------------------------------------------------------------
 

@@ -27,10 +27,11 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.bipartitions.extract import bipartition_masks
+from repro.bipartitions.scan import SplitBatch
 from repro.core.table import BipartitionTable, masks_to_words
 from repro.hashing.bfh import BipartitionFrequencyHash, MaskTransform
 from repro.observability.metrics import histogram as _histogram
+from repro.observability.spans import trace
 from repro.observability.state import enabled as _obs_enabled
 from repro.runtime.executor import Executor, get_executor, get_payload
 from repro.trees.tree import Tree
@@ -65,29 +66,30 @@ class VectorizedBFH:
     def __init__(self, keys: np.ndarray, freqs: np.ndarray, n_trees: int,
                  total: int, *, include_trivial: bool = False,
                  transform: MaskTransform | None = None):
+        """Adopt arrays already in probe order, zero-copy.
+
+        Rows must be sorted under the void-byte comparison
+        ``searchsorted`` uses — the order a :class:`BipartitionTable`
+        (and a :class:`~repro.runtime.shm.SharedBFH` segment) holds them
+        in.  Read-only views are adopted as-is, so shared-memory workers
+        never duplicate the table.
+        """
         if keys.ndim != 2 or keys.shape[0] != freqs.shape[0]:
             raise ValueError("keys must be (U, n_words) aligned with freqs")
-        self.keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        self.freqs = np.ascontiguousarray(freqs, dtype=np.int64)
+        if keys.dtype != np.uint64 or freqs.dtype != np.int64 \
+                or not keys.flags.c_contiguous or not freqs.flags.c_contiguous:
+            raise ValueError("VectorizedBFH requires contiguous uint64 keys "
+                             "and int64 freqs")
+        self.keys = keys
+        self.freqs = freqs
         self.n_trees = n_trees
         self.total = total
         self.n_words = keys.shape[1]
         self.include_trivial = include_trivial
         self.transform = transform
         # Void view: one comparable scalar per row for searchsorted.
-        # Void scalars compare as raw bytes (little-endian within each
-        # uint64), which is NOT numeric order — so sort rows under the
-        # void comparison itself; exact-match probes only need the array
-        # and the query to share one total order.
-        void = self.keys.view(
-            np.dtype((np.void, self.keys.dtype.itemsize * self.n_words))
-        ).ravel()
-        order = np.argsort(void)
-        self.keys = np.ascontiguousarray(self.keys[order])
-        self.freqs = np.ascontiguousarray(self.freqs[order])
-        self._void_keys = self.keys.view(
-            np.dtype((np.void, self.keys.dtype.itemsize * self.n_words))
-        ).ravel()
+        self._void_keys = keys.view(
+            np.dtype((np.void, keys.dtype.itemsize * self.n_words))).ravel()
 
     # -- construction ---------------------------------------------------------
 
@@ -108,9 +110,8 @@ class VectorizedBFH:
         so the arrays are adopted as-is — the table is the one canonical
         array form every layer shares.
         """
-        return cls.from_sorted_arrays(
-            table.keys, table.counts, table.n_trees, table.total,
-            include_trivial=table.include_trivial, transform=transform)
+        return cls(table.keys, table.counts, table.n_trees, table.total,
+                   include_trivial=table.include_trivial, transform=transform)
 
     def table(self, n_taxa: int) -> BipartitionTable:
         """This probe's arrays as a :class:`BipartitionTable` (zero-copy).
@@ -123,64 +124,22 @@ class VectorizedBFH:
                                 include_trivial=self.include_trivial)
 
     @classmethod
-    def from_sorted_arrays(cls, keys: np.ndarray, freqs: np.ndarray,
-                           n_trees: int, total: int, *,
-                           include_trivial: bool = False,
-                           transform: MaskTransform | None = None
-                           ) -> "VectorizedBFH":
-        """Wrap arrays *already sorted* in this class's void-byte order.
-
-        The zero-copy path for :class:`repro.runtime.shm.SharedBFH`:
-        ``__init__`` re-sorts (and therefore copies) its inputs, which
-        would defeat a shared-memory segment — every worker would
-        privately duplicate the table.  Here the arrays are adopted
-        as-is (read-only views included), so the caller must guarantee
-        the rows are sorted exactly as :meth:`from_bfh` would sort them;
-        ``SharedBFH.from_bfh`` builds *through* ``from_bfh``, making
-        that guarantee structural.
-        """
-        if keys.ndim != 2 or keys.shape[0] != freqs.shape[0]:
-            raise ValueError("keys must be (U, n_words) aligned with freqs")
-        if keys.dtype != np.uint64 or freqs.dtype != np.int64 \
-                or not keys.flags.c_contiguous or not freqs.flags.c_contiguous:
-            raise ValueError("from_sorted_arrays requires contiguous "
-                             "uint64 keys and int64 freqs")
-        self = object.__new__(cls)
-        self.keys = keys
-        self.freqs = freqs
-        self.n_trees = n_trees
-        self.total = total
-        self.n_words = keys.shape[1]
-        self.include_trivial = include_trivial
-        self.transform = transform
-        self._void_keys = keys.view(
-            np.dtype((np.void, keys.dtype.itemsize * self.n_words))).ravel()
-        return self
-
-    @classmethod
     def from_trees(cls, trees: Iterable[Tree], *, include_trivial: bool = False,
                    transform: MaskTransform | None = None) -> "VectorizedBFH":
         trees = list(trees)
         if not trees:
             raise CollectionError("reference collection is empty")
-        bfh = BipartitionFrequencyHash.from_trees(
-            trees, include_trivial=include_trivial, transform=transform)
-        # Size keys by the namespace, not the widest stored key: query
-        # masks may set higher taxon bits than any reference split, and
-        # truncating them would fabricate false probe hits.
-        n_taxa = len(trees[0].taxon_namespace)
-        return cls.from_bfh(bfh, max(1, n_taxa))
+        # Keys are sized by the namespace, not the widest stored key:
+        # query masks may set higher taxon bits than any reference split.
+        batch = SplitBatch.from_trees(trees, include_trivial=include_trivial,
+                                      transform=transform)
+        return BipartitionTable.from_splits(batch).vectorized(
+            transform=transform)
 
     def __len__(self) -> int:
         return len(self.freqs)
 
     # -- probes ------------------------------------------------------------------
-
-    def _tree_masks(self, tree: Tree) -> list[int]:
-        masks = bipartition_masks(tree, include_trivial=self.include_trivial)
-        if self.transform is not None:
-            masks = self.transform(masks, tree.leaf_mask())
-        return sorted(masks)
 
     def lookup_frequencies(self, words: np.ndarray) -> np.ndarray:
         """Frequencies for an (m, n_words) query block (0 where absent).
@@ -211,32 +170,40 @@ class VectorizedBFH:
         freqs = np.where(hit, self.freqs[positions], 0)
         return freqs.astype(np.int64)
 
-    def average_rf_batch(self, trees: Sequence[Tree]) -> np.ndarray:
+    def split_batch(self, trees: Sequence[Tree] | SplitBatch) -> SplitBatch:
+        """``trees`` as a :class:`SplitBatch` under this table's settings
+        (a batch passes through: it already carries them)."""
+        if isinstance(trees, SplitBatch):
+            return trees
+        return SplitBatch.from_trees(trees,
+                                     include_trivial=self.include_trivial,
+                                     transform=self.transform)
+
+    def average_rf_batch(self, trees: Sequence[Tree] | SplitBatch
+                         ) -> np.ndarray:
         """Average RF for a whole query batch in one vectorized pass.
 
+        ``trees`` is a :class:`SplitBatch` (a scan, or a slice of one) or
+        parsed trees, which become one through ``bipartition_masks``.
         Per-split terms for every tree are concatenated and reduced with
-        ``np.add.reduceat`` — Algorithm 2 with the loop over query trees
+        prefix sums — Algorithm 2 with the loop over query trees
         flattened into array ops.
         """
         if self.n_trees == 0:
             raise CollectionError("empty hash; average RF is undefined")
-        if not trees:
+        if not len(trees):
             return np.zeros(0, dtype=np.float64)
         if not _obs_enabled():
-            return self._batch(trees)
+            return self._batch(self.split_batch(trees))
         t0 = time.perf_counter()
-        values = self._batch(trees)
+        values = self._batch(self.split_batch(trees))
         _histogram("vectorized.batch_seconds").observe(time.perf_counter() - t0)
         return values
 
-    def _batch(self, trees: Sequence[Tree]) -> np.ndarray:
-        per_tree_masks = [self._tree_masks(t) for t in trees]
-        counts = np.array([len(m) for m in per_tree_masks], dtype=np.int64)
-        flat = [m for masks in per_tree_masks for m in masks]
-        words = _masks_to_words(flat, self.n_words)
-        freqs = self.lookup_frequencies(words)
-
-        offsets = np.zeros(len(trees), dtype=np.int64)
+    def _batch(self, batch: SplitBatch) -> np.ndarray:
+        counts = batch.counts
+        freqs = self.lookup_frequencies(batch.words_for(self.n_words))
+        offsets = np.zeros(len(counts), dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
         # Segment sums via prefix sums rather than reduceat: a tree with
         # no non-trivial splits (a star from multifurcation collapse)
@@ -249,39 +216,78 @@ class VectorizedBFH:
         return (rf_left + rf_right) / self.n_trees
 
 
+def split_table(query: Sequence[Tree] | SplitBatch,
+                reference: Sequence[Tree] | SplitBatch | None = None, *,
+                include_trivial: bool = False,
+                transform: MaskTransform | None = None
+                ) -> tuple[BipartitionTable, Sequence[Tree] | SplitBatch]:
+    """The reference table and the query, ready to probe.
+
+    Tree collections become :class:`SplitBatch` es through
+    ``bipartition_masks`` (``transform`` applied per tree on both
+    sources); scans pass through.  With ``reference`` None or the query
+    itself, one batch feeds both the build and the probe.  A tree query
+    against a distinct reference is returned as trees, so process
+    fan-outs can extract it in their workers.
+    """
+    if reference is None or reference is query:
+        query = reference = _as_batch(query, include_trivial, transform)
+    reference = _as_batch(reference, include_trivial, transform)
+    with trace("table.build", r=len(reference)) as span:
+        table = BipartitionTable.from_splits(reference,
+                                             n_taxa=_namespace_size(query))
+        span.set(unique=len(table))
+    return table, query
+
+
+def _as_batch(items, include_trivial: bool, transform) -> SplitBatch:
+    if isinstance(items, SplitBatch):
+        return items
+    return SplitBatch.from_trees(items, include_trivial=include_trivial,
+                                 transform=transform)
+
+
+def _namespace_size(items) -> int:
+    if isinstance(items, SplitBatch):
+        return items.n_taxa
+    return len(items[0].taxon_namespace) if len(items) else 1
+
+
 def _vec_batch_range(bounds: tuple[int, int]) -> list[float]:
     """Fan-out task: score one slice of the query batch against the shared table."""
-    trees, vbfh = get_payload()
+    batch, vbfh = get_payload()
     if not _obs_enabled():
-        return vbfh.average_rf_batch(trees[bounds[0]:bounds[1]]).tolist()
+        return vbfh.average_rf_batch(batch.slice(*bounds)).tolist()
     t0 = time.perf_counter()
-    values = vbfh.average_rf_batch(trees[bounds[0]:bounds[1]]).tolist()
+    values = vbfh.average_rf_batch(batch.slice(*bounds)).tolist()
     _histogram("vectorized.chunk_seconds").observe(time.perf_counter() - t0)
     return values
 
 
-def vectorized_average_rf(query: Sequence[Tree],
-                          reference: Sequence[Tree] | None = None, *,
-                          include_trivial: bool = False,
+def vectorized_average_rf(query: Sequence[Tree] | SplitBatch,
+                          reference: Sequence[Tree] | SplitBatch | None = None,
+                          *, include_trivial: bool = False,
                           transform: MaskTransform | None = None,
                           n_workers: int = 1,
                           chunk_size: int | None = None,
                           executor: str | Executor | None = None) -> list[float]:
     """Drop-in vectorized counterpart of :func:`repro.core.bfhrf.bfhrf_average_rf`.
 
-    With ``n_workers > 1`` the query batch is scored in slices on the
-    resolved executor.  Auto-detection prefers the ``thread`` backend
-    here: the probe kernels are NumPy calls that release the GIL, so
-    threads parallelize them without pickling or forking the frequency
-    table.
+    ``query``/``reference`` are parsed trees or :class:`SplitBatch`
+    scans (see :func:`split_table`).  With ``n_workers > 1`` the query
+    batch is scored in slices on the resolved executor.  Auto-detection
+    prefers the ``thread`` backend here: the probe kernels are NumPy
+    calls that release the GIL, so threads parallelize them without
+    pickling or forking the frequency table.
     """
-    reference = query if reference is None else reference
-    vbfh = VectorizedBFH.from_trees(reference, include_trivial=include_trivial,
-                                    transform=transform)
+    table, query = split_table(query, reference,
+                               include_trivial=include_trivial,
+                               transform=transform)
+    vbfh = table.vectorized(transform=transform)
     if n_workers <= 1 or len(query) < 2:
         return vbfh.average_rf_batch(query).tolist()
-    query = list(query)
+    batch = vbfh.split_batch(query)
     runner = get_executor(executor, prefer="thread")
-    blocks = runner.submit_ranges(_vec_batch_range, len(query), (query, vbfh),
+    blocks = runner.submit_ranges(_vec_batch_range, len(batch), (batch, vbfh),
                                   n_workers=n_workers, chunk_size=chunk_size)
     return [v for block in blocks for v in block]

@@ -63,6 +63,10 @@ def iter_newick_strings(stream: io.TextIOBase | Iterable[str]) -> Iterator[str]:
         if not buffer and (not stripped or stripped.startswith("#")):
             continue
         for ch in line:
+            if not buffer and ch.isspace():
+                # Whitespace between records never starts one, so a
+                # ``#`` line after a record is still at a boundary.
+                continue
             if in_comment:
                 buffer.append(ch)
                 if ch == "]":

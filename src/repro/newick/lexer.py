@@ -19,14 +19,6 @@ from repro.util.errors import NewickParseError
 
 __all__ = ["TokenType", "Token", "tokenize"]
 
-_STRUCTURAL = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    ";": "SEMICOLON",
-    ":": "COLON",
-}
-
 # Characters that terminate an unquoted label.
 _LABEL_TERMINATORS = set("(),;:[]'") | set(" \t\r\n")
 
@@ -39,6 +31,13 @@ class TokenType(Enum):
     COLON = ":"
     LABEL = "label"
     EOF = "eof"
+
+
+# Structural character -> its prebuilt member (a dict hit instead of an
+# Enum value lookup per token).
+_STRUCTURAL = {member.value: member for member in
+               (TokenType.LPAREN, TokenType.RPAREN, TokenType.COMMA,
+                TokenType.SEMICOLON, TokenType.COLON)}
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,9 @@ def tokenize(text: str) -> Iterator[Token]:
                 raise NewickParseError("unterminated comment", position=i)
             i = end + 1
             continue
-        if ch in _STRUCTURAL:
-            yield Token(TokenType(ch), ch, i)
+        kind = _STRUCTURAL.get(ch)
+        if kind is not None:
+            yield Token(kind, ch, i)
             i += 1
             continue
         if ch == "'":

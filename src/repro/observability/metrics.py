@@ -7,6 +7,8 @@ stable, queryable name:
 name                              kind        meaning
 ================================  ==========  =======================================
 ``newick.trees_parsed``           counter     trees materialized by the parser
+``newick.trees_scanned``          counter     trees scanned straight to split words
+``table.splits_counted``          counter     split occurrences counted into a table by ``from_splits``
 ``bfh.bipartitions_hashed``       counter     masks counted into a frequency hash
 ``bfh.hash_hits``                 counter     query splits found in ``BFH_R``
 ``bfh.hash_misses``               counter     query splits absent from ``BFH_R``

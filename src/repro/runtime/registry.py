@@ -65,6 +65,11 @@ class MethodSpec:
     shared_memory:
         Process workers attach a zero-copy shared-memory segment instead
         of receiving a pickled payload (:mod:`repro.runtime.shm`).
+    scans_newick:
+        The runner takes :class:`~repro.bipartitions.scan.SplitBatch`
+        inputs: ``average_rf`` scans Newick path/text arguments straight
+        to split words for it, with no ``Tree`` built (NEXUS and tree
+        lists still arrive as trees).
     fast_path:
         Candidate for the *default* method: when ``average_rf`` is called
         without ``method=``, the most recently registered fast-path spec
@@ -81,6 +86,7 @@ class MethodSpec:
     supports_workers: bool = True
     memory_class: str = "hash"
     shared_memory: bool = False
+    scans_newick: bool = False
     fast_path: bool = False
 
     def __post_init__(self) -> None:
@@ -125,6 +131,7 @@ def register_method(name: str, runner: Callable[..., list[float]], *,
                     supports_workers: bool = True,
                     memory_class: str = "hash",
                     shared_memory: bool = False,
+                    scans_newick: bool = False,
                     fast_path: bool = False) -> MethodSpec:
     """Register an average-RF method; returns its :class:`MethodSpec`.
 
@@ -137,6 +144,7 @@ def register_method(name: str, runner: Callable[..., list[float]], *,
                       supports_workers=supports_workers,
                       memory_class=memory_class,
                       shared_memory=shared_memory,
+                      scans_newick=scans_newick,
                       fast_path=fast_path)
     _REGISTRY[name] = spec
     return spec
@@ -198,8 +206,8 @@ def methods_markdown_table() -> str:
     default = default_method_name()
     lines = [
         "| Method | Disparate reference | Transforms | Workers | Zero-copy "
-        "| Memory | Summary |",
-        "|---|---|---|---|---|---|---|",
+        "| Newick scan | Memory | Summary |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     for spec in methods():
         name = f"`{spec.name}` (default)" if spec.name == default \
@@ -209,7 +217,15 @@ def methods_markdown_table() -> str:
             f"| {_flag(spec.supports_transform)} "
             f"| {_flag(spec.supports_workers)} "
             f"| {_flag(spec.shared_memory)} "
+            f"| {_flag(spec.scans_newick)} "
             f"| {spec.memory_class} | {spec.summary} |")
+    lines.append("")
+    lines.append(
+        "*Newick scan*: Newick path/text inputs are scanned straight to "
+        "split words (no `Tree` objects) and one scan feeds both the "
+        "table build and the probe when `reference` is omitted.  NEXUS "
+        "input, tree lists and the other methods parse to `Tree`s — the "
+        "baselines stay the independent reference.")
     lines.append("")
     lines.append(
         "Every method runs locally; `average_rf(..., endpoint=...)` "

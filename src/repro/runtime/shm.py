@@ -265,14 +265,13 @@ class SharedBFH:
     @classmethod
     def from_trees(cls, trees, *, include_trivial: bool = False,
                    transform=None) -> "SharedBFH":
-        """Build the hash from a reference collection, then share it."""
-        from repro.core.bfhrf import build_bfh
+        """Build the table from a reference collection, then share it."""
+        from repro.bipartitions.scan import SplitBatch
+        from repro.core.table import BipartitionTable
 
-        trees = list(trees)
-        bfh = build_bfh(trees, include_trivial=include_trivial,
-                        transform=transform)
-        n_taxa = len(trees[0].taxon_namespace) if trees else 1
-        return cls.from_bfh(bfh, max(1, n_taxa))
+        batch = SplitBatch.from_trees(trees, include_trivial=include_trivial,
+                                      transform=transform)
+        return cls.from_table(BipartitionTable.from_splits(batch))
 
     @classmethod
     def attach(cls, descriptor: SharedBFHDescriptor) -> "SharedBFH":
@@ -325,9 +324,9 @@ class SharedBFH:
         """A :class:`VectorizedBFH` probing the shared arrays zero-copy."""
         from repro.core.vectorized import VectorizedBFH
 
-        return VectorizedBFH.from_sorted_arrays(
-            self.keys, self.freqs, self.n_trees, self.total,
-            include_trivial=self.include_trivial, transform=transform)
+        return VectorizedBFH(self.keys, self.freqs, self.n_trees, self.total,
+                             include_trivial=self.include_trivial,
+                             transform=transform)
 
     def table(self, n_taxa: int) -> "BipartitionTable":
         """The segment as a :class:`~repro.core.table.BipartitionTable`

@@ -4,9 +4,9 @@ One :class:`ServeDaemon` opens a :class:`~repro.store.store.BFHStore`
 once and answers average-RF queries over one or more listeners — any
 mix of unix-domain sockets and TCP, each named by a
 :class:`~repro.serve.endpoint.Endpoint` — for as long as it runs;
-queries pay only parse + probe, never open/replay.  Every listener
-speaks the same NDJSON protocol (:mod:`repro.serve.protocol`) and
-serves bitwise-identical replies.
+queries pay only a scan to split words + probe, never open/replay.
+Every listener speaks the same NDJSON protocol
+(:mod:`repro.serve.protocol`) and serves bitwise-identical replies.
 
 Three cooperating task families on one event loop:
 
@@ -80,9 +80,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from repro.bipartitions.scan import SplitBatch, scan_newick_text
 from repro.core.shmrf import shm_average_rf
 from repro.core.vectorized import VectorizedBFH
-from repro.newick import read_nexus_trees, trees_from_string
+from repro.newick import read_nexus_trees
 from repro.observability.metrics import MetricsRegistry, counter as _g_counter, \
     gauge as _g_gauge, histogram as _g_histogram
 from repro.observability.spans import trace
@@ -100,7 +101,6 @@ from repro.serve.protocol import (
 )
 from repro.store.format import words_for_taxa
 from repro.store.store import BFHStore
-from repro.trees.tree import Tree
 from repro.util.errors import ReproError, ServeError, ServeProtocolError, \
     StoreError
 
@@ -195,10 +195,9 @@ class _Listener:
 
 @dataclass
 class _Pending:
-    """One parsed query request waiting for the batcher."""
+    """One scanned query request waiting for the batcher."""
 
-    trees: list[Tree]
-    n_taxa: int                      # namespace size the trees parsed under
+    batch: SplitBatch                # the frame's split words
     future: asyncio.Future
     enqueued_at: float = 0.0
 
@@ -235,10 +234,14 @@ class ServeDaemon:
 
     def __init__(self, store_dir: str | os.PathLike, config: ServeConfig,
                  *, prebound_sockets:
-                 Mapping[Endpoint, socket.socket] | None = None):
+                 Mapping[Endpoint, socket.socket] | None = None,
+                 parent_pid: int | None = None):
         self.store_dir = Path(store_dir)
         self.config = config
         self._prebound = dict(prebound_sockets or {})
+        # A supervised worker drains and exits once its supervisor is
+        # gone (a SIGKILLed supervisor cannot stop its workers itself).
+        self._parent_pid = parent_pid
         self._metrics = MetricsRegistry()
         self._store: BFHStore | None = None
         self._store_lock = threading.Lock()
@@ -421,7 +424,7 @@ class ServeDaemon:
             while not self._queue.empty():  # drain timeout elapsed
                 pending = self._queue.get_nowait()
                 self._queued_trees = max(
-                    0, self._queued_trees - len(pending.trees))
+                    0, self._queued_trees - len(pending.batch))
                 if not pending.future.done():
                     pending.future.set_exception(ServeError(
                         "daemon shut down before the query was scored"))
@@ -582,15 +585,21 @@ class ServeDaemon:
 
     # -- query path --------------------------------------------------------
 
-    def _parse(self, text: str) -> tuple[list[Tree], int]:
-        """Parse query text in the store's namespace (bit-aligned masks)."""
+    def _parse(self, text: str) -> SplitBatch:
+        """Scan query text into split words in the store's namespace.
+
+        Newick frames go straight to words with no ``Tree`` built; NEXUS
+        frames parse to trees first (the reference path).
+        """
         with self._store_lock:
             ns = self._store.namespace()
+            include_trivial = self._store.include_trivial
         if text.lstrip().upper().startswith("#NEXUS"):
             trees = read_nexus_trees(text, ns)
-        else:
-            trees = trees_from_string(text, ns)
-        return trees, max(1, len(ns))
+            return SplitBatch.from_trees(trees,
+                                         include_trivial=include_trivial,
+                                         n_taxa=len(ns))
+        return scan_newick_text(text, ns, include_trivial=include_trivial)
 
     async def _handle_query(self, rid: Any,
                             msg: dict[str, Any]) -> dict[str, Any]:
@@ -600,28 +609,27 @@ class ServeDaemon:
                                "'trees' must be a string of Newick/NEXUS "
                                "text")
         try:
-            trees, n_taxa = await asyncio.to_thread(self._parse, text)
+            batch = await asyncio.to_thread(self._parse, text)
         except ReproError as exc:
             return error_reply(rid, "parse-error", str(exc))
         with self._store_lock:
             reference_trees = self._store.n_trees
             generation = self._store.generation
-        if not trees:
+        if not len(batch):
             return ok_reply(rid, values=[], trees=0,
                             reference_trees=reference_trees,
                             generation=generation, epoch=self._epoch)
         cfg = self.config
         if (self._queued_trees
-                and self._queued_trees + len(trees) > cfg.queue_max_trees):
+                and self._queued_trees + len(batch) > cfg.queue_max_trees):
             # Backpressure: more trees are already queued than one batch
             # drains; admitting more only grows latency unboundedly.
             return self._admission_reject(
                 rid, "queue_trees",
                 f"{self._queued_trees} trees already queued; admitting "
-                f"{len(trees)} more would exceed the {cfg.queue_max_trees}"
+                f"{len(batch)} more would exceed the {cfg.queue_max_trees}"
                 "-tree backpressure cap — back off and retry")
-        pending = _Pending(trees=trees, n_taxa=n_taxa,
-                           future=self._loop.create_future(),
+        pending = _Pending(batch=batch, future=self._loop.create_future(),
                            enqueued_at=time.monotonic())
         try:
             self._queue.put_nowait(pending)
@@ -630,7 +638,7 @@ class ServeDaemon:
                 rid, "queue_requests",
                 f"query queue is full ({cfg.queue_max_requests} pending "
                 "requests); back off and retry")
-        self._queued_trees += len(trees)
+        self._queued_trees += len(batch)
         self._set_gauge("serve.queued_trees", self._queued_trees)
         try:
             values = await pending.future
@@ -642,7 +650,7 @@ class ServeDaemon:
         with self._store_lock:
             reference_trees = self._store.n_trees
             generation = self._store.generation
-        return ok_reply(rid, values=values, trees=len(trees),
+        return ok_reply(rid, values=values, trees=len(batch),
                         reference_trees=reference_trees,
                         generation=generation, epoch=self._epoch)
 
@@ -653,11 +661,11 @@ class ServeDaemon:
             pending = [await self._queue.get()]
             if cfg.batch_window_s > 0:
                 await asyncio.sleep(cfg.batch_window_s)
-            n_trees = len(pending[0].trees)
+            n_trees = len(pending[0].batch)
             while n_trees < cfg.batch_max_trees and not self._queue.empty():
                 extra = self._queue.get_nowait()
                 pending.append(extra)
-                n_trees += len(extra.trees)
+                n_trees += len(extra.batch)
             self._queued_trees = max(0, self._queued_trees - n_trees)
             self._set_gauge("serve.queued_trees", self._queued_trees)
             self._in_flight = True
@@ -688,23 +696,24 @@ class ServeDaemon:
 
     def _score(self, pending: list[_Pending]) -> list[list[float]]:
         """One probe for the whole batch; runs on a worker thread."""
-        trees = [tree for item in pending for tree in item.trees]
-        n_taxa = max(item.n_taxa for item in pending)
+        batch = SplitBatch.concat([item.batch for item in pending])
         cfg = self.config
-        with trace("serve.batch", requests=len(pending), trees=len(trees)):
-            shared = self._shared_table(n_taxa) if cfg.workers > 1 else None
+        with trace("serve.batch", requests=len(pending), trees=len(batch)):
+            shared = self._shared_table(batch.n_taxa) if cfg.workers > 1 \
+                else None
             if shared is not None:
-                values = shm_average_rf(trees, shared=shared,
+                values = shm_average_rf(batch, shared=shared,
                                         n_workers=cfg.workers,
                                         executor=cfg.executor)
             else:
-                values = self._table(n_taxa).average_rf_batch(trees).tolist()
+                values = self._table(batch.n_taxa).average_rf_batch(
+                    batch).tolist()
         out: list[list[float]] = []
         offset = 0
         for item in pending:
             out.append([float(v)
-                        for v in values[offset:offset + len(item.trees)]])
-            offset += len(item.trees)
+                        for v in values[offset:offset + len(item.batch)]])
+            offset += len(item.batch)
         return out
 
     # -- probe-table cache (epoch-invalidated) ------------------------------
@@ -770,12 +779,20 @@ class ServeDaemon:
     # -- journal tailing ----------------------------------------------------
 
     async def _tail_loop(self) -> None:
-        """Make external ``store add`` / ``compact`` visible live."""
+        """Make external ``store add`` / ``compact`` visible live.
+
+        The same tick notices an orphaned worker: once the parent pid it
+        was forked under is gone, it begins a graceful drain.
+        """
         while True:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self._closing.wait(),
                                        timeout=self.config.tail_interval_s)
                 return  # shutting down
+            if self._parent_pid is not None \
+                    and os.getppid() != self._parent_pid:
+                self._begin_shutdown()
+                return
             try:
                 changed = await asyncio.to_thread(self._refresh_store)
             except Exception:

@@ -22,6 +22,11 @@ Workers therefore share nothing but listening sockets — a worker crash
 loses only its in-flight connections, and clients reconnect into the
 survivors within one backoff budget.
 
+A worker whose supervisor disappears (even by SIGKILL, which leaves no
+chance to signal the pool) notices on its next journal-tail tick that
+its parent pid changed, drains and exits — the pool never outlives its
+supervisor by more than one ``tail_interval_s`` plus the drain.
+
 Supervision policy: a worker that exits **cleanly** (status 0) did so
 because a client asked the daemon to shut down — the supervisor treats
 that as a request to stop the whole pool and SIGTERMs the rest.  A
@@ -140,6 +145,7 @@ class ServeSupervisor:
     # -- worker lifecycle ----------------------------------------------------
 
     def _spawn_worker(self) -> int:
+        supervisor_pid = os.getpid()
         pid = os.fork()
         if pid == 0:
             # Worker process: shed the supervisor's handlers (the daemon
@@ -149,7 +155,8 @@ class ServeSupervisor:
                 signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 signal.signal(signal.SIGINT, signal.SIG_DFL)
                 daemon = ServeDaemon(self.store_dir, self._worker_config,
-                                     prebound_sockets=self._prebound)
+                                     prebound_sockets=self._prebound,
+                                     parent_pid=supervisor_pid)
                 daemon.run()
             except BaseException:
                 traceback.print_exc()

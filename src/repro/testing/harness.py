@@ -37,6 +37,7 @@ from repro.testing.oracles import (
     check_codec_roundtrip,
     check_differential_rf,
     check_differential_weighted,
+    check_scan_parity,
     check_self_rf_zero,
     check_serve_parity,
     check_shm_roundtrip,
@@ -79,6 +80,7 @@ CASE_CHECKS: dict[str, Callable[[TreeCase], list[Failure]]] = {
     "nexus-roundtrip": prop_nexus_roundtrip,
     "store-roundtrip": check_store_roundtrip,
     "codec-roundtrip": check_codec_roundtrip,
+    "scan-parity": check_scan_parity,
     "serve-parity": check_serve_parity,
 }
 
@@ -141,18 +143,20 @@ def _inject_shm_count() -> Callable[[], None]:
     """
     from repro.runtime.shm import SharedBFH
 
-    original = SharedBFH.from_bfh.__func__
+    # Every segment build (from_bfh included) copies in through
+    # from_table, so the fan-out paths see the drift too.
+    original = SharedBFH.from_table.__func__
 
-    def corrupted(cls, bfh, n_taxa):
-        shared = original(cls, bfh, n_taxa)
+    def corrupted(cls, table):
+        shared = original(cls, table)
         if len(shared):
             shared.freqs.flags.writeable = True
             shared.freqs[0] += 1  # one count drifts; the dict hash does not
             shared.freqs.flags.writeable = False
         return shared
 
-    SharedBFH.from_bfh = classmethod(corrupted)
-    return lambda: setattr(SharedBFH, "from_bfh", classmethod(original))
+    SharedBFH.from_table = classmethod(corrupted)
+    return lambda: setattr(SharedBFH, "from_table", classmethod(original))
 
 
 FAULT_KINDS = ("bfh-count", "weighted-total", "store-count", "shm-count")

