@@ -200,38 +200,30 @@ def _split_records(text: str) -> tuple[list[str], bool]:
 
 _LP, _RP, _COMMA, _SEMI, _COLON, _ERR = range(6)
 _KIND = {"(": _LP, ")": _RP, ",": _COMMA, ";": _SEMI, ":": _COLON}
-# Records without quotes, comments, stray brackets or whitespace (the
-# common case) split on structure alone.
-_NEEDS_LEXER = re.compile(r"['\[\] \t\r\n]")
-_PLAIN_TOKEN = re.compile(r"[(),;:]|[^(),;:]+")
 # The lexer's dialect: structure, unquoted label, quoted label with ''
 # escapes (possessive, so an unterminated one falls through to "."),
 # comment, whitespace; "." catches the lexer's error characters.
 _TOKEN = re.compile(
     r"[(),;:]|[^(),;:'\[\] \t\r\n]+|'(?:[^']|'')*+'|\[[^\]]*\]"
     r"|[ \t\r\n]+|.", re.S)
+# First characters of the tokens that are not plain labels.
+_NOT_LABEL = frozenset("'[] \t\r\n")
 
 
 def _tokens(record: str) -> list:
-    if _NEEDS_LEXER.search(record) is None:
-        return [_KIND.get(tok, tok) for tok in _PLAIN_TOKEN.findall(record)]
     out: list = []
+    append = out.append
     for tok in _TOKEN.findall(record):
         kind = _KIND.get(tok)
         if kind is not None:
-            out.append(kind)
-            continue
-        ch = tok[0]
-        if ch == "'":
-            out.append(tok[1:-1].replace("''", "'") if len(tok) > 1
-                       else _ERR)
-        elif ch == "[":
-            if len(tok) == 1:          # unterminated comment
-                out.append(_ERR)
-        elif ch == "]":
-            out.append(_ERR)
-        elif ch not in " \t\r\n":
-            out.append(tok)
+            append(kind)
+        elif tok[0] not in _NOT_LABEL:
+            append(tok)
+        elif tok[0] == "'":
+            append(tok[1:-1].replace("''", "'") if len(tok) > 1 else _ERR)
+        elif tok == "[" or tok == "]":  # unterminated comment, stray "]"
+            append(_ERR)
+        # else: a comment or whitespace, which the lexer skips
     return out
 
 

@@ -11,15 +11,13 @@ descriptor that pickles to ~200 bytes.
 Per-backend payload strategy (the part that actually moves the needle):
 
 * ``fork`` — fresh pool per fan-out; the payload (including the
-  in-memory query list) crosses by copy-on-write inheritance, so workers
+  query's split words) crosses by copy-on-write inheritance, so workers
   pay neither pickling nor parsing.  The ``SharedBFH`` arrays are in the
   segment either way, shared by all children.
 * ``spawn`` — a cached pool (``reuse="shm"``) amortizes interpreter
-  start-up across fan-outs; a scanned query crosses as its split words
+  start-up across fan-outs; the query crosses as its split words
   (:class:`~repro.bipartitions.scan.SplitBatch`) and workers probe
-  slices of them, while a tree query crosses as a
-  :class:`~repro.runtime.shm.SharedTreeCollection` descriptor and each
-  worker parses only the slices it scores, caching its attach.
+  slices of them, so no worker parses or extracts anything.
 * ``serial``/``thread`` — no process boundary; the probe kernels are
   NumPy calls that release the GIL, identical to
   :func:`~repro.core.vectorized.vectorized_average_rf`.
@@ -35,14 +33,14 @@ import time
 from collections.abc import Iterable, Sequence
 
 from repro.bipartitions.scan import SplitBatch
-from repro.core.vectorized import split_table
+from repro.core.vectorized import _as_batch, split_table
 from repro.hashing.bfh import MaskTransform
 from repro.observability.metrics import histogram as _histogram
 from repro.observability.spans import trace
 from repro.observability.state import enabled as _obs_enabled
 from repro.runtime.executor import Executor, get_executor, get_payload, \
     resolve_workers
-from repro.runtime.shm import SharedBFH, SharedTreeCollection
+from repro.runtime.shm import SharedBFH
 from repro.trees.tree import Tree
 
 __all__ = ["shm_average_rf"]
@@ -51,16 +49,14 @@ __all__ = ["shm_average_rf"]
 def _shm_query_range(bounds: tuple[int, int]) -> list[float]:
     """Fan-out task: batched probes for one query slice over shared arrays.
 
-    The payload carries descriptors or words, not trees: ``collection``
-    is a :class:`SplitBatch` (workers probe a slice of its words) or a
-    :class:`SharedTreeCollection` (parent-side a plain list view;
-    worker-side it parses only this range), and ``shared.vectorized()``
-    adopts the segment arrays without copying.  The transform rides
-    separately — segments store only arrays.
+    The payload carries words, not trees: workers probe a slice of the
+    query :class:`SplitBatch`, and ``shared.vectorized()`` adopts the
+    segment arrays without copying.  The transform rides separately —
+    segments store only arrays.
     """
-    collection, shared, transform = get_payload()
+    batch, shared, transform = get_payload()
     vbfh = shared.vectorized(transform=transform)
-    query = collection.slice(bounds[0], bounds[1])
+    query = batch.slice(bounds[0], bounds[1])
     if not _obs_enabled():
         return vbfh.average_rf_batch(query).tolist()
     t0 = time.perf_counter()
@@ -83,9 +79,9 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree] | SplitBatch,
     Semantics match :func:`repro.core.bfhrf.bfhrf_average_rf` exactly
     (same empty-reference error, same values bit for bit); only the
     worker payload differs.  ``query``/``reference`` are parsed trees or
-    :class:`SplitBatch` scans; the table is built from the reference
-    batch with no dict hash, and with ``reference`` None the same batch
-    is probed.  With ``n_workers <= 1`` this is the vectorized backend
+    :class:`SplitBatch` scans; trees become a batch in the caller's
+    process, the table is built from the reference batch with no dict
+    hash, and with ``reference`` None the same batch is probed.  With ``n_workers <= 1`` this is the vectorized backend
     with no segments at all.
 
     Parameters
@@ -111,6 +107,8 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree] | SplitBatch,
         table, query = split_table(query, reference,
                                    include_trivial=include_trivial,
                                    transform=transform)
+    else:
+        query = _as_batch(query, shared.include_trivial, transform)
     if not len(query):
         return []
 
@@ -125,12 +123,8 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree] | SplitBatch,
     owned = shared is None
     if owned:
         shared = SharedBFH.from_table(table)
-    # Branch lengths never enter an RF score; dropping them keeps the
-    # query segment small and its worker-side parse cheap.
-    collection = query if isinstance(query, SplitBatch) \
-        else SharedTreeCollection(query, include_lengths=False)
     try:
-        payload = (collection, shared, transform)
+        payload = (query, shared, transform)
         reuse = "shm" if runner.name == "spawn" else None
         with trace("shmrf.query", q=len(query), r=shared.n_trees,
                    workers=workers, backend=runner.name):
@@ -139,7 +133,5 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree] | SplitBatch,
                 n_workers=workers, chunk_size=chunk_size, reuse=reuse)
         return [v for block in blocks for v in block]
     finally:
-        if collection is not query:
-            collection.release()
         if owned:
             shared.release()

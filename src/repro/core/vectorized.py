@@ -170,15 +170,6 @@ class VectorizedBFH:
         freqs = np.where(hit, self.freqs[positions], 0)
         return freqs.astype(np.int64)
 
-    def split_batch(self, trees: Sequence[Tree] | SplitBatch) -> SplitBatch:
-        """``trees`` as a :class:`SplitBatch` under this table's settings
-        (a batch passes through: it already carries them)."""
-        if isinstance(trees, SplitBatch):
-            return trees
-        return SplitBatch.from_trees(trees,
-                                     include_trivial=self.include_trivial,
-                                     transform=self.transform)
-
     def average_rf_batch(self, trees: Sequence[Tree] | SplitBatch
                          ) -> np.ndarray:
         """Average RF for a whole query batch in one vectorized pass.
@@ -193,10 +184,11 @@ class VectorizedBFH:
             raise CollectionError("empty hash; average RF is undefined")
         if not len(trees):
             return np.zeros(0, dtype=np.float64)
+        batch = _as_batch(trees, self.include_trivial, self.transform)
         if not _obs_enabled():
-            return self._batch(self.split_batch(trees))
+            return self._batch(batch)
         t0 = time.perf_counter()
-        values = self._batch(self.split_batch(trees))
+        values = self._batch(batch)
         _histogram("vectorized.batch_seconds").observe(time.perf_counter() - t0)
         return values
 
@@ -220,22 +212,19 @@ def split_table(query: Sequence[Tree] | SplitBatch,
                 reference: Sequence[Tree] | SplitBatch | None = None, *,
                 include_trivial: bool = False,
                 transform: MaskTransform | None = None
-                ) -> tuple[BipartitionTable, Sequence[Tree] | SplitBatch]:
-    """The reference table and the query, ready to probe.
+                ) -> tuple[BipartitionTable, SplitBatch]:
+    """The reference table and the query batch, ready to probe.
 
     Tree collections become :class:`SplitBatch` es through
     ``bipartition_masks`` (``transform`` applied per tree on both
     sources); scans pass through.  With ``reference`` None or the query
-    itself, one batch feeds both the build and the probe.  A tree query
-    against a distinct reference is returned as trees, so process
-    fan-outs can extract it in their workers.
+    itself, one batch feeds both the build and the probe.
     """
-    if reference is None or reference is query:
-        query = reference = _as_batch(query, include_trivial, transform)
-    reference = _as_batch(reference, include_trivial, transform)
+    query = _as_batch(query, include_trivial, transform)
+    reference = query if reference is None or reference is query \
+        else _as_batch(reference, include_trivial, transform)
     with trace("table.build", r=len(reference)) as span:
-        table = BipartitionTable.from_splits(reference,
-                                             n_taxa=_namespace_size(query))
+        table = BipartitionTable.from_splits(reference, n_taxa=query.n_taxa)
         span.set(unique=len(table))
     return table, query
 
@@ -245,12 +234,6 @@ def _as_batch(items, include_trivial: bool, transform) -> SplitBatch:
         return items
     return SplitBatch.from_trees(items, include_trivial=include_trivial,
                                  transform=transform)
-
-
-def _namespace_size(items) -> int:
-    if isinstance(items, SplitBatch):
-        return items.n_taxa
-    return len(items[0].taxon_namespace) if len(items) else 1
 
 
 def _vec_batch_range(bounds: tuple[int, int]) -> list[float]:
@@ -286,8 +269,7 @@ def vectorized_average_rf(query: Sequence[Tree] | SplitBatch,
     vbfh = table.vectorized(transform=transform)
     if n_workers <= 1 or len(query) < 2:
         return vbfh.average_rf_batch(query).tolist()
-    batch = vbfh.split_batch(query)
     runner = get_executor(executor, prefer="thread")
-    blocks = runner.submit_ranges(_vec_batch_range, len(batch), (batch, vbfh),
+    blocks = runner.submit_ranges(_vec_batch_range, len(query), (query, vbfh),
                                   n_workers=n_workers, chunk_size=chunk_size)
     return [v for block in blocks for v in block]
