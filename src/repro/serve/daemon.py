@@ -46,6 +46,9 @@ the client backs off and retries) and counted under
   than the cap is still admitted to an empty queue, else it could
   never run).
 
+The queue gates run before a Newick frame is scanned: its records are
+counted by the record splitter, so a shed frame pays for no scan.
+
 Shutdown (SIGTERM/SIGINT, a ``shutdown`` request, or
 :meth:`ServeDaemon.request_shutdown`) is drain-then-close: stop
 accepting, answer every already-queued query, flush replies, close
@@ -80,7 +83,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.bipartitions.scan import SplitBatch, scan_newick_text
+from repro.bipartitions.scan import SplitBatch, scan_newick_records, \
+    split_newick_records
 from repro.core.shmrf import shm_average_rf
 from repro.core.vectorized import VectorizedBFH
 from repro.newick import read_nexus_trees
@@ -101,6 +105,7 @@ from repro.serve.protocol import (
 )
 from repro.store.format import words_for_taxa
 from repro.store.store import BFHStore
+from repro.trees.taxon import TaxonNamespace
 from repro.util.errors import ReproError, ServeError, ServeProtocolError, \
     StoreError
 
@@ -585,21 +590,42 @@ class ServeDaemon:
 
     # -- query path --------------------------------------------------------
 
-    def _parse(self, text: str) -> SplitBatch:
-        """Scan query text into split words in the store's namespace.
-
-        Newick frames go straight to words with no ``Tree`` built; NEXUS
-        frames parse to trees first (the reference path).
-        """
+    def _namespace(self) -> tuple[TaxonNamespace, bool]:
         with self._store_lock:
-            ns = self._store.namespace()
-            include_trivial = self._store.include_trivial
-        if text.lstrip().upper().startswith("#NEXUS"):
-            trees = read_nexus_trees(text, ns)
-            return SplitBatch.from_trees(trees,
-                                         include_trivial=include_trivial,
-                                         n_taxa=len(ns))
-        return scan_newick_text(text, ns, include_trivial=include_trivial)
+            return self._store.namespace(), self._store.include_trivial
+
+    def _parse_nexus(self, text: str) -> SplitBatch:
+        """NEXUS frames parse to trees first (the reference path)."""
+        ns, include_trivial = self._namespace()
+        trees = read_nexus_trees(text, ns)
+        return SplitBatch.from_trees(trees, include_trivial=include_trivial,
+                                     n_taxa=len(ns))
+
+    def _scan(self, records: list[str], complete: bool) -> SplitBatch:
+        """Scan a Newick frame's records into split words in the store's
+        namespace (so masks are bit-aligned), with no ``Tree`` built."""
+        ns, include_trivial = self._namespace()
+        return scan_newick_records(records, ns, complete=complete,
+                                   include_trivial=include_trivial)
+
+    def _admit(self, rid: Any, n_trees: int) -> dict[str, Any] | None:
+        """The ``overloaded`` reply for a frame of ``n_trees``, or None."""
+        cfg = self.config
+        if (self._queued_trees
+                and self._queued_trees + n_trees > cfg.queue_max_trees):
+            # Backpressure: more trees are already queued than one batch
+            # drains; admitting more only grows latency unboundedly.
+            return self._admission_reject(
+                rid, "queue_trees",
+                f"{self._queued_trees} trees already queued; admitting "
+                f"{n_trees} more would exceed the {cfg.queue_max_trees}"
+                "-tree backpressure cap — back off and retry")
+        if self._queue.full():
+            return self._admission_reject(
+                rid, "queue_requests",
+                f"query queue is full ({cfg.queue_max_requests} pending "
+                "requests); back off and retry")
+        return None
 
     async def _handle_query(self, rid: Any,
                             msg: dict[str, Any]) -> dict[str, Any]:
@@ -608,8 +634,23 @@ class ServeDaemon:
             return error_reply(rid, "bad-request",
                                "'trees' must be a string of Newick/NEXUS "
                                "text")
+        # Admission runs before the scan: a Newick frame's records are
+        # counted by the splitter (~1% of a scan), so a shed frame never
+        # pays for one.  NEXUS frames are parsed to be counted.
+        nexus = text.lstrip().upper().startswith("#NEXUS")
         try:
-            batch = await asyncio.to_thread(self._parse, text)
+            if nexus:
+                batch = await asyncio.to_thread(self._parse_nexus, text)
+                n_trees = len(batch)
+            else:
+                records, complete = split_newick_records(text)
+                n_trees = len(records)
+            reject = self._admit(rid, n_trees) if n_trees else None
+            if reject is not None:
+                return reject
+            if not nexus:
+                batch = await asyncio.to_thread(self._scan, records,
+                                                complete)
         except ReproError as exc:
             return error_reply(rid, "parse-error", str(exc))
         with self._store_lock:
@@ -619,25 +660,13 @@ class ServeDaemon:
             return ok_reply(rid, values=[], trees=0,
                             reference_trees=reference_trees,
                             generation=generation, epoch=self._epoch)
-        cfg = self.config
-        if (self._queued_trees
-                and self._queued_trees + len(batch) > cfg.queue_max_trees):
-            # Backpressure: more trees are already queued than one batch
-            # drains; admitting more only grows latency unboundedly.
-            return self._admission_reject(
-                rid, "queue_trees",
-                f"{self._queued_trees} trees already queued; admitting "
-                f"{len(batch)} more would exceed the {cfg.queue_max_trees}"
-                "-tree backpressure cap — back off and retry")
+        # Other frames may have queued while this one scanned off-loop.
+        reject = self._admit(rid, len(batch))
+        if reject is not None:
+            return reject
         pending = _Pending(batch=batch, future=self._loop.create_future(),
                            enqueued_at=time.monotonic())
-        try:
-            self._queue.put_nowait(pending)
-        except asyncio.QueueFull:
-            return self._admission_reject(
-                rid, "queue_requests",
-                f"query queue is full ({cfg.queue_max_requests} pending "
-                "requests); back off and retry")
+        self._queue.put_nowait(pending)
         self._queued_trees += len(batch)
         self._set_gauge("serve.queued_trees", self._queued_trees)
         try:

@@ -30,8 +30,9 @@ from typing import Any
 
 import numpy as np
 
+from repro.bipartitions import scan as _scan_module
 from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
-from repro.bipartitions.scan import scan_newick_file, scan_newick_text
+from repro.bipartitions.scan import scan_newick_file, split_newick_records
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.day import day_rf
 from repro.core.parallel import dsmp_average_rf
@@ -227,7 +228,9 @@ def check_backend_parity(case: TreeCase) -> list[Failure]:
     fresh-interpreter pool per fan-out, so it runs on a deterministic
     slice of cases and only for the BFHRF and shm paths; the cases it
     runs on derive from ``case.seed``, so the shrinker can replay the
-    check.
+    check.  It is skipped once a cheaper backend has failed: the
+    verdict cannot change, and the shrinker calls this check once per
+    candidate.
     """
     failures: list[Failure] = []
     backends = ["serial", "thread"]
@@ -253,6 +256,10 @@ def check_backend_parity(case: TreeCase) -> list[Failure]:
                     implementation=backend, index=i))
 
     for backend in backends:
+        if backend == "spawn" and failures:
+            # The verdict is already "fail"; a spawn pool per shrinker
+            # predicate call would only add ~0.5 s to each.
+            break
         compare("bfhrf", backend,
                 bfhrf_average_rf(case.query, case.reference, n_workers=2,
                                  include_trivial=case.include_trivial,
@@ -443,13 +450,30 @@ def _describe_scan_mismatch(want, got) -> str:
     return "results differ"
 
 
+#: The scanner's paths, as ``(name, block_min, block_chars)``: the token
+#: state machine, the block path on one block, and the block path cut
+#: into many small blocks (so records and taxa cross block boundaries).
+SCAN_PATHS = (("token", 1 << 62, None), ("block", 0, None),
+              ("blocks", 0, 256))
+
+
+def _scan_text_via(path: tuple, text: str, ns: TaxonNamespace, **kwargs):
+    """:func:`~repro.bipartitions.scan.scan_newick_text` on one path."""
+    _name, block_min, block_chars = path
+    records, complete = split_newick_records(text)
+    return _scan_module._scan(records, complete, ns, source=None,
+                              block_min=block_min, block_chars=block_chars,
+                              **kwargs)
+
+
 def check_scan_parity(case: TreeCase) -> list[Failure]:
     """The Newick scanner vs parse → ``Tree`` → ``bipartition_masks``.
 
     The case's trees are written as a decorated Newick text (see
     :func:`_scan_case_text`) and read both ways —
     ``iter_newick_strings`` + ``parse_newick`` + ``bipartition_masks``
-    against :func:`~repro.bipartitions.scan.scan_newick_text` — with and
+    against :func:`~repro.bipartitions.scan.scan_newick_text` on each of
+    :data:`SCAN_PATHS` — with and
     without trivial splits and with a split-size transform.  Results
     must agree on every tree's split multiset and leaf mask and on the
     namespace order, or both must fail with the same exception class.
@@ -468,19 +492,21 @@ def check_scan_parity(case: TreeCase) -> list[Failure]:
                         iter_newick_strings(io.StringIO(variant))],
             settings)
         for (include_trivial, transform), want in zip(settings, wants):
-            got = _scan_path_result(lambda ns: scan_newick_text(
-                variant, ns, include_trivial=include_trivial,
-                transform=transform))
-            same = (want[0] == got[0]) if isinstance(want[0], type) \
-                else want == got
-            if not same:
-                failures.append(Failure(
-                    "scan-parity",
-                    f"{name} text (include_trivial={include_trivial}, "
-                    f"transform={transform is not None}): "
-                    f"{_describe_scan_mismatch(want, got)}",
-                    implementation="scan"))
-                return failures
+            for path in SCAN_PATHS:
+                got = _scan_path_result(lambda ns: _scan_text_via(
+                    path, variant, ns, include_trivial=include_trivial,
+                    transform=transform))
+                same = (want[0] == got[0]) if isinstance(want[0], type) \
+                    else want == got
+                if not same:
+                    failures.append(Failure(
+                        "scan-parity",
+                        f"{name} text on the {path[0]} path "
+                        f"(include_trivial={include_trivial}, "
+                        f"transform={transform is not None}): "
+                        f"{_describe_scan_mismatch(want, got)}",
+                        implementation="scan"))
+                    return failures
     with tempfile.TemporaryDirectory(prefix="bfhrf-scan-") as tmp:
         for name, variant in _scan_variants(case, text)[:2]:
             path = Path(tmp) / f"{name}.nwk.gz"

@@ -8,20 +8,25 @@ features (quotes with ``''`` escapes, comments, lengths, internal
 labels, ``#`` lines, unifurcations, rooted shapes, bare leaves), the
 64/128-bit word boundaries, ``.gz`` files, ``include_trivial`` and a
 transform are covered; the ``scan-parity`` selfcheck oracle runs the
-same comparison on generated cases.
+same comparison on generated cases.  Every comparison runs on each
+scan path: the token state machine, the block path on one block, and
+the block path cut into blocks of a record or a few hundred characters.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.bipartitions.scan as scan_module
 import repro.trees.tree as tree_module
 from repro.bipartitions.extract import bipartition_masks
 from repro.bipartitions.scan import SplitBatch, scan_newick_file, \
@@ -35,7 +40,7 @@ from repro.hashing.bfh import BipartitionFrequencyHash
 from repro.newick import iter_newick_strings, parse_newick, \
     read_newick_file, trees_from_string, write_newick
 from repro.testing.generators import PROFILES, generate_case
-from repro.testing.oracles import check_scan_parity
+from repro.testing.oracles import SCAN_PATHS, check_scan_parity
 from repro.trees.taxon import TaxonNamespace
 from repro.util.errors import NewickParseError, ReproError, TaxonError
 
@@ -77,8 +82,25 @@ def scan_path(text: str, include_trivial: bool = False, transform=None):
     return batch_result(batch, ns)
 
 
+#: The oracle's paths plus the block path with one record per block.
+PATHS = SCAN_PATHS + (("record-blocks", 0, 1),)
+
+
+@contextmanager
+def on_path(path):
+    """Public scan calls inside take ``path`` (a :data:`PATHS` entry)."""
+    _name, block_min, block_chars = path
+    with mock.patch.object(scan_module, "BLOCK_MIN_LEAVES", block_min), \
+            mock.patch.object(scan_module, "BLOCK_CHARS",
+                              block_chars or scan_module.BLOCK_CHARS):
+        yield
+
+
 def assert_parity(text: str, **kwargs) -> None:
-    assert scan_path(text, **kwargs) == tree_path(text, **kwargs), text
+    want = tree_path(text, **kwargs)
+    for path in PATHS:
+        with on_path(path):
+            assert scan_path(text, **kwargs) == want, (path[0], text)
 
 
 newick_soup = st.text(
@@ -165,19 +187,122 @@ class TestDialect:
         assert_parity(text, include_trivial=True, transform=transform)
 
     def test_namespace_order_is_first_seen(self):
-        ns = TaxonNamespace(["Z"])
-        scan_newick_text("((C,A),(Z,B));\n((D,A),(C,B));", ns)
-        assert ns.labels == ["Z", "C", "A", "B", "D"]
+        for path in PATHS:
+            ns = TaxonNamespace(["Z"])
+            with on_path(path):
+                scan_newick_text("((C,A),(Z,B));\n((D,A),(C,B));", ns)
+            assert ns.labels == ["Z", "C", "A", "B", "D"], path[0]
 
     def test_rejected_record_raises_the_parsers_error(self):
         text = "((A,B),(C,D));\n((A,B),(C,D);"
-        with pytest.raises(NewickParseError) as scanned:
-            scan_newick_text(text)
         with pytest.raises(NewickParseError) as parsed:
             trees_from_string(text)
-        assert str(scanned.value) == str(parsed.value)
-        with pytest.raises(TaxonError):
-            scan_newick_text("((A,B),(A,D));")
+        for path in PATHS:
+            with on_path(path):
+                with pytest.raises(NewickParseError) as scanned:
+                    scan_newick_text(text)
+                assert str(scanned.value) == str(parsed.value)
+                with pytest.raises(TaxonError):
+                    scan_newick_text("((A,B),(A,D));")
+
+
+def random_record(labels: list[str], rng) -> str:
+    """A random rooted binary tree over ``labels`` as one record."""
+    nodes = list(labels)
+    rng.shuffle(nodes)
+    while len(nodes) > 1:
+        i, j = sorted(rng.sample(range(len(nodes)), 2))
+        right, left = nodes.pop(j), nodes.pop(i)
+        nodes.append(f"({left},{right})")
+    return nodes[0] + ";"
+
+
+def taxa(n: int) -> list[str]:
+    return [f"T{i:03d}" for i in range(n)]
+
+
+class TestBlockPath:
+    """What only the block path can get wrong: state carried across
+    blocks (the namespace, the word width, the first rejected record)
+    and the dispatch on the threshold."""
+
+    def records(self, seed: int = 7) -> list[str]:
+        import random
+
+        rng = random.Random(seed)
+        # Taxa arrive late: words widen from 1 to 2 to 3 between blocks.
+        return ([random_record(taxa(60), rng) for _ in range(12)]
+                + [random_record(taxa(70), rng) for _ in range(12)]
+                + [random_record(taxa(130), rng) for _ in range(12)])
+
+    @pytest.mark.parametrize("include_trivial", [False, True])
+    def test_new_taxa_in_later_blocks_widen_the_words(self, include_trivial):
+        text = "\n".join(self.records()) + "\n"
+        want = tree_path(text, include_trivial=include_trivial)
+        for path in PATHS:
+            ns = TaxonNamespace()
+            with on_path(path):
+                batch = scan_newick_text(text, ns,
+                                         include_trivial=include_trivial)
+            assert batch.words.shape[1] == 3 and batch.n_taxa == 130
+            assert batch_result(batch, ns) == want, path[0]
+
+    def test_transform_across_blocks(self):
+        transform = size_filter_transform(min_size=3, max_size=40)
+        text = "\n".join(self.records(11)) + "\n"
+        assert_parity(text, transform=transform)
+        assert_parity(text, include_trivial=True, transform=transform)
+
+    @pytest.mark.parametrize("bad, error", [
+        ("((NEW1,T000),(T001,T002);", NewickParseError),   # unbalanced
+        ("((NEW1,T000),(T001,T001));", TaxonError),        # duplicate
+        ("((NEW1,T000):1.5x,(T001,T002));", NewickParseError),
+        ("((NEW1,T000),());", NewickParseError),
+    ])
+    def test_rejected_record_in_a_later_block(self, bad, error):
+        """Error class, message and namespace state all match the
+        parser's, with the labels of every earlier block bound."""
+        records = self.records()
+        records.insert(30, bad)
+        text = "\n".join(records) + "\n"
+        ns_parsed = TaxonNamespace()
+        with pytest.raises(error) as parsed:
+            trees_from_string(text, ns_parsed)
+        for path in PATHS:
+            ns = TaxonNamespace()
+            with on_path(path):
+                with pytest.raises(error) as scanned:
+                    scan_newick_text(text, ns)
+            assert type(scanned.value) is type(parsed.value), path[0]
+            assert str(scanned.value) == str(parsed.value), path[0]
+            assert ns.labels == ns_parsed.labels, path[0]
+
+    @pytest.mark.parametrize("text", [
+        "('A','B',('C','D'));\n(('A','C'),'B','it''s');\n",   # quotes only
+        "[x](A,B,[y](C,D));\n((A[;],C)[z],B,D);\n",          # comments only
+        "(A,B,(C,D));\u00a0\u2003\x0b\x0c((A,C),B,D);\n\u3000",
+        "(A,B,(C,D));\n  # a # line\n((A,C),B,D); #x\n#y\n(A,(B,C),D);",
+        "(A\u00a0,B,(C,D));\n(A\u00a0,(B,C),D);\n",  # NBSP is a label byte
+        "('A\x00',A,(B,C));\n(é,'é',(B,C));\n('a b',é,(B,C));\n",
+    ])
+    def test_dialects(self, text):
+        assert_parity(text)
+        assert_parity(text, include_trivial=True)
+
+    def test_threshold_picks_the_path(self, monkeypatch):
+        calls = []
+        block_batch = scan_module._block_batch
+
+        def spy(records, *args):
+            calls.append(len(records))
+            return block_batch(records, *args)
+
+        monkeypatch.setattr(scan_module, "_block_batch", spy)
+        leaves = scan_module.BLOCK_MIN_LEAVES
+        scan_newick_text("(A,B);\n" * (leaves // 2 - 1) + "A;\n")
+        assert calls == []                   # one leaf short
+        scan_newick_text("(A,B);\n" * (leaves // 2) + "A;\n")
+        assert calls == [leaves // 2 + 1]
 
 
 class TestFiles:
@@ -189,20 +314,24 @@ class TestFiles:
         opener = gzip.open if suffix.endswith(".gz") else open
         with opener(path, "wt", encoding="utf-8") as fh:
             fh.write(self.TEXT * 3)
-        ns = TaxonNamespace()
-        got = batch_result(scan_newick_file(path, ns), ns)
-        assert got == tree_path(self.TEXT * 3)
         assert read_newick_file(path)  # same file through the Tree path
+        for scan_path_ in PATHS:
+            ns = TaxonNamespace()
+            with on_path(scan_path_):
+                got = batch_result(scan_newick_file(path, ns), ns)
+            assert got == tree_path(self.TEXT * 3), scan_path_[0]
 
     def test_file_errors_carry_record_context(self, tmp_path):
         path = tmp_path / "bad.nwk"
         path.write_text(self.TEXT + "((A,B),(C,D);\n")
-        with pytest.raises(NewickParseError) as scanned:
-            scan_newick_file(path)
         with pytest.raises(NewickParseError) as parsed:
             read_newick_file(path)
-        assert str(scanned.value) == str(parsed.value)
-        assert "tree record 3" in str(scanned.value)
+        for scan_path_ in PATHS:
+            with on_path(scan_path_):
+                with pytest.raises(NewickParseError) as scanned:
+                    scan_newick_file(path)
+            assert str(scanned.value) == str(parsed.value)
+            assert "tree record 3" in str(scanned.value)
 
 
 BOUNDARY_PROFILE = replace(PROFILES["deep"], name="scan-boundary",

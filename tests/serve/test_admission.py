@@ -209,6 +209,59 @@ class TestBoundedQueue:
         counters = stats["metrics"]["counters"]
         assert counters["serve.admission_rejected.queue_trees"] >= 2
 
+    def test_shed_frames_never_reach_the_scanner(self, tmp_path, store_dir,
+                                                 collection, monkeypatch):
+        """Admission counts a Newick frame's records before scanning it:
+        the frames the trees gate sheds are never scanned, and the
+        accepted ones answer bitwise as before."""
+        import time
+
+        from repro.serve import daemon as daemon_module
+
+        scanned: list[int] = []
+        scan = daemon_module.scan_newick_records
+
+        def counting(records, *args, **kwargs):
+            scanned.append(len(records))
+            return scan(records, *args, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "scan_newick_records", counting)
+        config = _config(tmp_path, queue_max_trees=4, batch_window_s=0.6,
+                         queue_max_requests=100, max_inflight=64)
+        plan = [(1, 3), (2, 2), (3, 1), (4, 1)]
+        with serving(store_dir, config) as daemon:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(30.0)
+            try:
+                sock.connect(daemon.config.socket_path)
+                buffer = b""
+                while b"\n" not in buffer:
+                    buffer += sock.recv(65536)
+                _, buffer = buffer.split(b"\n", 1)
+                for rid, n in plan:
+                    sock.sendall(encode_frame(
+                        {"id": rid, "op": "query",
+                         "trees": _text(collection[:n])}))
+                    time.sleep(0.06)  # keep admission order deterministic
+                replies: dict[int, dict] = {}
+                while len(replies) < len(plan):
+                    while b"\n" not in buffer:
+                        chunk = sock.recv(65536)
+                        assert chunk, "daemon hung up mid-test"
+                        buffer += chunk
+                    line, buffer = buffer.split(b"\n", 1)
+                    reply = decode_frame(line)
+                    replies[reply["id"]] = reply
+            finally:
+                sock.close()
+        assert _error_type(replies[2]) == "overloaded"
+        assert _error_type(replies[4]) == "overloaded"
+        assert scanned == [3, 1], "only the admitted frames are scanned"
+        assert replies[1]["values"] == bfhrf_average_rf(collection[:3],
+                                                        collection)
+        assert replies[3]["values"] == bfhrf_average_rf(collection[:1],
+                                                        collection)
+
     def test_single_query_bigger_than_cap_still_runs(self, tmp_path,
                                                      store_dir, collection):
         """The backpressure cap never starves a query that is alone:
