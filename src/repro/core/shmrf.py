@@ -22,9 +22,15 @@ Per-backend payload strategy (the part that actually moves the needle):
   NumPy calls that release the GIL, identical to
   :func:`~repro.core.vectorized.vectorized_average_rf`.
 
-Every path scores with the same :class:`VectorizedBFH` probe kernel over
-the same sorted arrays, so results are bitwise-identical to the dict
-backend by construction (the parity oracles enforce it anyway).
+A self-query (Q = R from one split batch: ``reference=None``, the path
+``bfhrf avg-rf trees.nwk`` takes) needs none of this: the table build
+has already counted every query split, so it is answered in the
+caller from the build's grouping, with no segment and no workers.
+
+Every other path scores with the same :class:`VectorizedBFH` probe
+kernel over the same sorted arrays, so results are bitwise-identical to
+the dict backend by construction (the parity oracles enforce it
+anyway).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import time
 from collections.abc import Iterable, Sequence
 
 from repro.bipartitions.scan import SplitBatch
-from repro.core.vectorized import _as_batch, split_table
+from repro.core.vectorized import _as_batch, self_query_rf, split_table
 from repro.hashing.bfh import MaskTransform
 from repro.observability.metrics import histogram as _histogram
 from repro.observability.spans import trace
@@ -80,9 +86,11 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree] | SplitBatch,
     (same empty-reference error, same values bit for bit); only the
     worker payload differs.  ``query``/``reference`` are parsed trees or
     :class:`SplitBatch` scans; trees become a batch in the caller's
-    process, the table is built from the reference batch with no dict
-    hash, and with ``reference`` None the same batch is probed.  With ``n_workers <= 1`` this is the vectorized backend
-    with no segments at all.
+    process and the table is built from the reference batch with no
+    dict hash.  With ``reference`` None (or the query batch itself) the
+    answer comes from the build's own grouping — no probe, no segment
+    and no fan-out at any ``n_workers``.  With ``n_workers <= 1`` this
+    is the vectorized backend with no segments at all.
 
     Parameters
     ----------
@@ -104,9 +112,13 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree] | SplitBatch,
         if reference is not None and not isinstance(
                 reference, (Sequence, SplitBatch)):
             reference = list(reference)
-        table, query = split_table(query, reference,
-                                   include_trivial=include_trivial,
-                                   transform=transform)
+        table, query, rows = split_table(query, reference,
+                                         include_trivial=include_trivial,
+                                         transform=transform)
+        if rows is not None:
+            with trace("shmrf.query", q=len(query), r=table.n_trees,
+                       workers=1):
+                return self_query_rf(table, query, rows)
     else:
         query = _as_batch(query, shared.include_trivial, transform)
     if not len(query):

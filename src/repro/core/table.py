@@ -19,9 +19,23 @@ Keys live in two total orders:
 * **numeric order** — masks ascending as integers.  This is the on-disk
   order (delta compression needs it) and the order
   :meth:`BipartitionTable.sorted_masks` yields.
-* **probe order** — rows sorted under the NumPy void-byte comparison the
-  vectorized backend's ``searchsorted`` uses.  ``keys``/``counts`` are
-  stored in this order so probes adopt them without re-sorting.
+* **probe order** — rows ascending by one ``uint64`` fingerprint per
+  row (:func:`row_fingerprints`: splitmix64 folded over the row's
+  words, seeded by the table's ``salt``).  ``keys``/``counts`` are
+  stored in this order, so a probe is one ``searchsorted`` over
+  fingerprints and a build is one integer argsort — no byte-string
+  compares.
+
+Fingerprints only *order* rows; they never decide equality.  Every
+build checks, word by word, that each run of equal fingerprints holds
+one distinct row, and every probe confirms a fingerprint match against
+the full key words, so the table stays exact (the paper's BFH keys on
+the whole bitmask).  One-word keys (n ≤ 64) cannot collide: the mixer
+is a bijection.  Should two distinct wider keys share a fingerprint,
+the build retries with ``salt + 1`` and records the salt it settled
+on, so the fingerprints in a table are unique by construction and
+every reader — a :class:`~repro.core.vectorized.VectorizedBFH`, a
+shared-memory worker — fingerprints with that salt.
 
 ``from_counts`` converts numeric → probe once at construction; codecs
 convert probe → numeric once at encode.  Exactness is unaffected: both
@@ -54,6 +68,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +82,7 @@ from repro.util.errors import BipartitionError, CollectionError, \
 
 __all__ = [
     "BipartitionTable", "TableSections",
-    "masks_to_words", "words_to_masks", "probe_order",
+    "masks_to_words", "words_to_masks", "row_fingerprints", "probe_order",
     "CodecSpec", "register_codec", "get_codec", "codec_by_tag",
     "codec_names", "codecs", "default_codec_name",
 ]
@@ -110,39 +125,100 @@ def words_to_masks(keys: np.ndarray) -> list[int]:
             for i in range(0, len(blob), width)]
 
 
-def probe_order(keys: np.ndarray) -> np.ndarray:
-    """Argsort of rows under the probe (void-byte) comparison.
+# The splitmix64 finalizer's shifts and multipliers.
+_MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+_MIX_MULTIPLIERS = (np.uint64(0xBF58476D1CE4E5B9),
+                    np.uint64(0x94D049BB133111EB))
 
-    Void scalars compare as raw bytes — little-endian within each uint64
-    on this platform, which is *not* numeric order.  Probes only need
-    the table and the query to share one total order, and this is the
-    one ``np.searchsorted`` gets for free.
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place: a bijection on ``uint64``."""
+    h ^= h >> _MIX_SHIFTS[0]
+    h *= _MIX_MULTIPLIERS[0]
+    h ^= h >> _MIX_SHIFTS[1]
+    h *= _MIX_MULTIPLIERS[1]
+    h ^= h >> _MIX_SHIFTS[2]
+    return h
+
+
+def row_fingerprints(keys: np.ndarray, salt: int) -> np.ndarray:
+    """One ``uint64`` per ``(m, n_words)`` row: ``h = mix(h ^ word)``
+    over the row's words, starting from ``salt``.
+
+    Rows must be at the width of the table they are compared with (a
+    query is fitted first, as :meth:`SplitBatch.words_for` does): the
+    fingerprint of a row depends on its leading zero words.
     """
-    void = keys.view(
-        np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
-    return np.argsort(void)
+    h = np.full(len(keys), salt, dtype=np.uint64)
+    for column in keys.T:
+        h = _mix(h ^ column)
+    return h
+
+
+class _Grouping(NamedTuple):
+    """Rows grouped by fingerprint: what every table build starts from."""
+
+    salt: int
+    order: np.ndarray    # argsort of the rows by fingerprint
+    new_run: np.ndarray  # sorted row i differs from sorted row i - 1
+
+
+def _group_rows(keys: np.ndarray) -> _Grouping:
+    """Sort rows by fingerprint and check each run holds one distinct row.
+
+    The check is exact: neighbours in the sorted order with equal
+    fingerprints are compared word by word, one column at a time (so
+    the build's temporaries stay a few row-length vectors).  Two
+    distinct rows under one fingerprint fail it, and the rows are
+    fingerprinted again with the next salt — so in the result, equal
+    fingerprints mean equal rows.
+    """
+    salt = 0
+    while True:
+        fingerprints = row_fingerprints(keys, salt)
+        order = np.argsort(fingerprints)
+        fingerprints = fingerprints[order]
+        new_run = np.ones(len(keys), dtype=bool)
+        np.not_equal(fingerprints[1:], fingerprints[:-1], out=new_run[1:])
+        del fingerprints
+        repeat = ~new_run[1:]
+        for column in keys.T:
+            ordered = column[order]
+            if np.any((ordered[1:] != ordered[:-1]) & repeat):
+                break
+        else:
+            return _Grouping(salt, order, new_run)
+        salt += 1
+
+
+def probe_order(keys: np.ndarray) -> np.ndarray:
+    """Argsort of rows into the probe order a table built from them uses."""
+    return _group_rows(keys).order
 
 
 class BipartitionTable:
     """Sorted bipartition keys + counts (+ weights) with metadata.
 
-    ``keys`` is ``(U, n_words)`` uint64 in probe order; ``counts`` is
-    ``(U,)`` int64 aligned with it.  ``weights`` — present only for
-    weighted tables — maps each mask to its sorted branch-length
-    multiset (the store's exact-removal representation).
+    ``keys`` is ``(U, n_words)`` uint64 in probe order — ascending
+    :func:`row_fingerprints` under ``salt``; ``counts`` is ``(U,)``
+    int64 aligned with it.  ``weights`` — present only for weighted
+    tables — maps each mask to its sorted branch-length multiset (the
+    store's exact-removal representation).
 
-    Construct with :meth:`from_splits` (one ``np.unique`` over a split
-    batch — the batch path), :meth:`from_counts` / :meth:`from_bfh`
-    (sorts once), or directly with arrays already in probe order
-    (zero-copy adoption — the shared-memory path).
+    Construct with :meth:`from_splits` (one fingerprint sort over a
+    split batch — the batch path), :meth:`from_counts` /
+    :meth:`from_bfh` (sorts once), or directly with arrays already in
+    probe order under ``salt`` (zero-copy adoption — the shared-memory
+    path).
     """
 
     __slots__ = ("keys", "counts", "weights", "n_taxa", "n_words",
-                 "n_trees", "total", "include_trivial")
+                 "n_trees", "total", "include_trivial", "salt")
 
     def __init__(self, keys: np.ndarray, counts: np.ndarray, *, n_taxa: int,
                  n_trees: int, total: int, include_trivial: bool = False,
-                 weights: dict[int, list[float]] | None = None):
+                 weights: dict[int, list[float]] | None = None,
+                 salt: int = 0):
         if keys.ndim != 2 or keys.shape[0] != counts.shape[0]:
             raise ValueError("keys must be (U, n_words) aligned with counts")
         if keys.dtype != np.uint64 or counts.dtype != np.int64 \
@@ -161,6 +237,7 @@ class BipartitionTable:
         self.n_trees = n_trees
         self.total = total
         self.include_trivial = include_trivial
+        self.salt = salt
 
     # -- construction ---------------------------------------------------------
 
@@ -170,20 +247,20 @@ class BipartitionTable:
                     include_trivial: bool = False,
                     weights: dict[int, list[float]] | None = None
                     ) -> "BipartitionTable":
-        """Build from a frequency dict (one numeric sort + one probe sort)."""
-        masks = sorted(counts)
-        keys = masks_to_words(masks, words_for_taxa(n_taxa))
-        freqs = np.array([counts[m] for m in masks], dtype=np.int64)
-        if len(masks):
-            order = probe_order(keys)
-            keys = np.ascontiguousarray(keys[order])
-            freqs = np.ascontiguousarray(freqs[order])
+        """Build from a frequency dict (one probe-order sort)."""
+        keys = masks_to_words(list(counts), words_for_taxa(n_taxa))
+        freqs = np.fromiter(counts.values(), dtype=np.int64,
+                            count=len(counts))
+        grouping = _group_rows(keys)
         if weights is not None:
             weights = {mask: sorted(lengths)
                        for mask, lengths in weights.items()}
-        return cls(keys, freqs, n_taxa=n_taxa, n_trees=n_trees,
+        return cls(np.ascontiguousarray(keys[grouping.order]),
+                   np.ascontiguousarray(freqs[grouping.order]),
+                   n_taxa=n_taxa, n_trees=n_trees,
                    total=sum(counts.values()) if total is None else total,
-                   include_trivial=include_trivial, weights=weights)
+                   include_trivial=include_trivial, weights=weights,
+                   salt=grouping.salt)
 
     @classmethod
     def from_bfh(cls, bfh, n_taxa: int) -> "BipartitionTable":
@@ -193,32 +270,43 @@ class BipartitionTable:
                                include_trivial=bfh.include_trivial)
 
     @classmethod
-    def from_splits(cls, batch, *, n_taxa: int | None = None
-                    ) -> "BipartitionTable":
+    def from_splits(cls, batch, *, n_taxa: int | None = None,
+                    return_inverse: bool = False):
         """Build from a :class:`~repro.bipartitions.scan.SplitBatch`.
 
-        ``np.unique`` over the void view of the batch's word rows sorts
-        them under the probe comparison and counts repeats in the same
-        pass, so keys come out in probe order with their frequencies —
-        no frequency dict and no second sort.  The batch's per-tree
-        splits are distinct, so a key's count is the number of trees
-        holding it.  ``n_taxa`` widens keys past the batch's own width.
+        One fingerprint argsort groups the batch's word rows: each run
+        of equal fingerprints is one key (checked word by word, see
+        :func:`_group_rows`) and its length is the key's frequency — no
+        frequency dict and no second sort.  The batch's per-tree splits
+        are distinct, so a key's count is the number of trees holding
+        it.  ``n_taxa`` widens keys past the batch's own width.
+
+        With ``return_inverse`` the result is ``(table, rows)``, where
+        ``rows[i]`` is the table index of the batch's split ``i`` — so
+        ``table.counts[rows]`` is every split's frequency with no probe.
         """
         if not len(batch):
             raise CollectionError(
                 "reference collection is empty; average RF is undefined")
         n_taxa = max(batch.n_taxa, n_taxa or 0)
         words = batch.words_for(words_for_taxa(n_taxa))
-        n_words = words.shape[1]
-        void = words.view(np.dtype((np.void, 8 * n_words))).ravel()
-        unique, freqs = np.unique(void, return_counts=True)
+        grouping = _group_rows(words)
+        starts = np.flatnonzero(grouping.new_run)
+        freqs = np.diff(np.append(starts, len(words)))
         if _obs_enabled():
-            _metric("table.splits_counted").inc(len(void))
-        keys = np.ascontiguousarray(unique).view(np.uint64)
-        return cls(keys.reshape(-1, n_words),
-                   freqs.astype(np.int64, copy=False), n_taxa=n_taxa,
-                   n_trees=len(batch), total=len(void),
-                   include_trivial=batch.include_trivial)
+            _metric("table.splits_counted").inc(len(words))
+        table = cls(np.ascontiguousarray(words[grouping.order[starts]]),
+                    freqs.astype(np.int64, copy=False), n_taxa=n_taxa,
+                    n_trees=len(batch), total=len(words),
+                    include_trivial=batch.include_trivial,
+                    salt=grouping.salt)
+        if not return_inverse:
+            return table
+        run_ids = np.cumsum(grouping.new_run)
+        run_ids -= 1
+        rows = np.empty(len(words), dtype=np.intp)
+        rows[grouping.order] = run_ids
+        return table, rows
 
     # -- views ----------------------------------------------------------------
 

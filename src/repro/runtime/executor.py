@@ -190,13 +190,12 @@ def _spawn_worker_init(payload: Any, observing: bool) -> None:
 def worker_task_snapshot(task_t0: float) -> dict[str, Any] | None:
     """Finish one worker task: record its latency, drain metrics *and spans*.
 
-    Used by the process backends' task wrapper (and by the deprecated
-    ``fork_map`` task contract).  ``None`` stands for "nothing recorded"
-    so the disabled path ships no extra bytes.  Any spans the task
-    finished in this worker ride home serialized under the snapshot's
-    ``"spans"`` key; :func:`merge_worker_snapshots` grafts them back
-    under the dispatching span, so worker-side tracing survives the
-    process boundary on ``fork`` and ``spawn`` alike.
+    Used by the process backends' task wrapper.  ``None`` stands for
+    "nothing recorded" so the disabled path ships no extra bytes.  Any
+    spans the task finished in this worker ride home serialized under
+    the snapshot's ``"spans"`` key; :func:`merge_worker_snapshots`
+    grafts them back under the dispatching span, so worker-side tracing
+    survives the process boundary on ``fork`` and ``spawn`` alike.
     """
     if not _obs_enabled():
         return None

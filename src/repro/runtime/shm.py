@@ -194,14 +194,16 @@ class SharedBFHDescriptor:
     n_trees: int
     total: int
     include_trivial: bool
+    salt: int
 
 
 class SharedBFH:
     """The BFH as flat sorted arrays in one shared-memory segment.
 
-    Layout: ``keys`` — ``(n_keys, n_words)`` ``uint64`` rows, sorted
-    under the vectorized backend's void-byte order — followed by
-    ``freqs`` — ``(n_keys,)`` ``int64``.  Probes are exactly
+    Layout: ``keys`` — ``(n_keys, n_words)`` ``uint64`` rows in the
+    table's probe order (ascending fingerprint under the descriptor's
+    ``salt``, which workers need to fingerprint queries alike) —
+    followed by ``freqs`` — ``(n_keys,)`` ``int64``.  Probes are exactly
     :class:`~repro.core.vectorized.VectorizedBFH` probes over views of
     the segment (:meth:`vectorized` wraps without copying or re-sorting),
     so results are bitwise-identical to the dict BFH by construction —
@@ -254,7 +256,7 @@ class SharedBFH:
         descriptor = SharedBFHDescriptor(
             name=shm.name, n_keys=n_keys, n_words=n_words,
             n_trees=table.n_trees, total=table.total,
-            include_trivial=table.include_trivial)
+            include_trivial=table.include_trivial, salt=table.salt)
         shared = cls(shm, descriptor, owner=True)
         shared.keys[:] = table.keys
         shared.freqs[:] = table.counts
@@ -326,7 +328,7 @@ class SharedBFH:
 
         return VectorizedBFH(self.keys, self.freqs, self.n_trees, self.total,
                              include_trivial=self.include_trivial,
-                             transform=transform)
+                             transform=transform, salt=self._descriptor.salt)
 
     def table(self, n_taxa: int) -> "BipartitionTable":
         """The segment as a :class:`~repro.core.table.BipartitionTable`
@@ -335,7 +337,8 @@ class SharedBFH:
 
         return BipartitionTable(self.keys, self.freqs, n_taxa=n_taxa,
                                 n_trees=self.n_trees, total=self.total,
-                                include_trivial=self.include_trivial)
+                                include_trivial=self.include_trivial,
+                                salt=self._descriptor.salt)
 
     def masks(self) -> list[int]:
         """The stored bipartition masks as Python ints, in segment order."""

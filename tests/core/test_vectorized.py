@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
+from repro.core.table import masks_to_words
 from repro.core.variants import size_filter_transform
-from repro.core.vectorized import VectorizedBFH, _masks_to_words, vectorized_average_rf
+from repro.core.vectorized import VectorizedBFH, vectorized_average_rf
 from repro.newick import parse_newick, trees_from_string
 from repro.util.errors import CollectionError
 
@@ -15,18 +16,18 @@ from tests.conftest import collection_shapes, make_collection
 
 class TestWordPacking:
     def test_single_word(self):
-        words = _masks_to_words([0b1011, 0], 1)
+        words = masks_to_words([0b1011, 0], 1)
         assert words.tolist() == [[0b1011], [0]]
 
     def test_multi_word_big_endian(self):
         mask = (1 << 100) | 1
-        words = _masks_to_words([mask], 2)
+        words = masks_to_words([mask], 2)
         assert words[0, 0] == 1 << 36   # high word
         assert words[0, 1] == 1         # low word
 
     def test_packing_injective(self):
         masks = [5, 1 << 70, (1 << 70) | 3, 2, 256, 1]
-        words = _masks_to_words(masks, 2)
+        words = masks_to_words(masks, 2)
         void = words.view(np.dtype((np.void, 16))).ravel()
         assert len(set(void.tolist())) == len(masks)
 
@@ -36,7 +37,7 @@ class TestWordPacking:
         bfh = build_bfh(medium_collection)
         vbfh = VectorizedBFH.from_bfh(bfh, 16)
         masks = sorted(bfh.counts)
-        words = _masks_to_words(masks, vbfh.n_words)
+        words = masks_to_words(masks, vbfh.n_words)
         freqs = vbfh.lookup_frequencies(words)
         assert freqs.tolist() == [bfh.counts[m] for m in masks]
 

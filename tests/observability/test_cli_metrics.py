@@ -51,14 +51,22 @@ class TestMetricsOut:
         # No Tree and no dict hash on the scanning path.
         assert report.counter("newick.trees_parsed") == 0
         assert report.counter("bfh.bipartitions_hashed") == 0
-        # The shm fast path probes through the vectorized kernel, so the
-        # query-side evidence is the batched-probe histograms rather than
-        # the dict hash's hit/miss counters.
+        # Q = R from one scan: the build already counted every query
+        # split, so nothing is probed.
+        assert "vectorized.probe_keys" not in report.metrics["histograms"]
+        # stdout (the results) is untouched by observability
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+        # With a separate reference the shm fast path probes through the
+        # vectorized kernel, so the query-side evidence is the
+        # batched-probe histograms rather than the dict hash's hit/miss
+        # counters.
+        assert main(["avg-rf", quartet_file, "-r", quartet_file,
+                     "--metrics-out", str(out)]) == 0
+        report = RunReport.from_dict(json.loads(out.read_text()))
         probes = report.metrics["histograms"]["vectorized.probe_keys"]
         assert probes["count"] >= 1
         assert probes["sum"] >= 3  # every query tree's splits probed
-        # stdout (the results) is untouched by observability
-        assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
     def test_matrix_report(self, quartet_file, tmp_path, capsys):
         out = tmp_path / "run.json"
@@ -80,8 +88,11 @@ class TestMetricsOut:
         if not fork_available():
             pytest.skip("fork start method unavailable")
         out = tmp_path / "run.json"
-        assert main(["avg-rf", quartet_file, "--workers", "2",
-                     "--metrics-out", str(out)]) == 0
+        # A self-query answers from the table build with no fan-out; a
+        # separate reference (the same file, scanned again) is probed
+        # by the workers.
+        assert main(["avg-rf", quartet_file, "-r", quartet_file,
+                     "--workers", "2", "--metrics-out", str(out)]) == 0
         report = RunReport.from_dict(json.loads(out.read_text()))
         assert report.counter("parallel.tasks") >= 1
         hist = report.metrics["histograms"]["parallel.task_seconds"]
